@@ -12,7 +12,6 @@ import argparse
 import random
 import sys
 import time
-from functools import cmp_to_key
 from pathlib import Path
 
 try:
@@ -22,7 +21,6 @@ except ImportError:
 
 from wellfounded import (
     Ordering,
-    OrdinalNotation,
     compare,
     empty_relation,
     format_ordinal,
@@ -30,20 +28,7 @@ from wellfounded import (
     nested_multiset_relation,
     to_nested,
 )
-from wellfounded.ordinal import from_nat
-
-
-def random_notation(rng: random.Random, depth: int) -> OrdinalNotation:
-    if depth == 0 or rng.random() < 0.3:
-        return from_nat(rng.randrange(0, 4))
-    exponents = []
-    for _ in range(rng.randrange(1, 4)):
-        candidate = random_notation(rng, depth - 1)
-        if all(compare(candidate, seen) is not Ordering.EQ for seen in exponents):
-            exponents.append(candidate)
-    rank = {Ordering.LT: 1, Ordering.EQ: 0, Ordering.GT: -1}
-    exponents.sort(key=cmp_to_key(lambda a, b: rank[compare(a, b)]))
-    return OrdinalNotation(tuple((e, rng.randrange(1, 4)) for e in exponents))
+from wellfounded.checks import random_notation
 
 
 def main() -> int:

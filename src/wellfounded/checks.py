@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Callable, Optional
 
 from .core import (
@@ -92,22 +91,8 @@ def _result(name: str, fn: Callable[[], Optional[str]]) -> CheckResult:
 # ---------------------------------------------------------------------------
 # Small sample carriers and steps.
 
-def _chain_step(rel: WFRelation, pool):
-    # recurse once, on the first strictly smaller pool element
-    pool = tuple(pool)
-
-    def step(x, rec):
-        for candidate in pool:
-            evidence = rel.decide(candidate, x)
-            if evidence is not None:
-                return 1 + rec(candidate, evidence)
-        return 0
-
-    return step
-
-
-def _census_step(rel: WFRelation, pool):
-    # recurse on every strictly smaller pool element; exponential in depth
+def _census_step(rel: WFRelation, pool, first_only: bool = False):
+    # recurse on every strictly smaller pool element, or on the first one
     pool = tuple(pool)
 
     def step(x, rec):
@@ -116,6 +101,8 @@ def _census_step(rel: WFRelation, pool):
             evidence = rel.decide(candidate, x)
             if evidence is not None:
                 total += rec(candidate, evidence)
+                if first_only:
+                    break
         return total
 
     return step
@@ -154,19 +141,16 @@ def _random_dag(rng: random.Random, size: int) -> WFRelation:
     return with_enumerated_predecessors(rel, range(size))
 
 
-def _random_notation(rng: random.Random, depth: int) -> OrdinalNotation:
+def random_notation(rng: random.Random, depth: int) -> OrdinalNotation:
+    """A seeded random notation with exponents nested up to ``depth``."""
     if depth == 0 or rng.random() < 0.3:
         return ord_mod.from_nat(rng.randrange(0, 4))
     exponents: list = []
     for _ in range(rng.randrange(1, 4)):
-        candidate = _random_notation(rng, depth - 1)
+        candidate = random_notation(rng, depth - 1)
         if all(compare(candidate, seen) is not Ordering.EQ for seen in exponents):
             exponents.append(candidate)
-    exponents.sort(
-        key=cmp_to_key(
-            lambda a, b: {Ordering.LT: 1, Ordering.EQ: 0, Ordering.GT: -1}[compare(a, b)]
-        )
-    )
+    exponents.sort(reverse=True)
     return OrdinalNotation(
         tuple((exponent, rng.randrange(1, 4)) for exponent in exponents)
     )
@@ -203,7 +187,7 @@ def _check_recursion_equations(seed: int) -> Optional[str]:
     nat = nat_less()
     suite = []
 
-    suite.append(("nat-linear", nat, _chain_step(nat, range(30)), range(31)))
+    suite.append(("nat-linear", nat, _census_step(nat, range(30), True), range(31)))
     fib_step = lambda n, rec: n if n < 2 else (
         rec(n - 1, nat_less_decide(n - 1, n)) + rec(n - 2, nat_less_decide(n - 2, n))
     )
@@ -254,11 +238,12 @@ def _check_recursion_equations(seed: int) -> Optional[str]:
     suite.append(("wtree", trees, height, shapes))
 
     tuples = [stepped(*c) for size in range(3) for c in itertools.product(range(3), repeat=size)]
-    suite.append(("stepped", stepped_lex(nat), _chain_step(stepped_lex(nat), tuples), tuples))
+    stepped_rel = stepped_lex(nat)
+    suite.append(("stepped", stepped_rel, _census_step(stepped_rel, tuples, True), tuples))
 
     msets = _all_multisets(range(3), 2)
     mrel = multiset_relation(nat)
-    suite.append(("multiset", mrel, _chain_step(mrel, msets), msets))
+    suite.append(("multiset", mrel, _census_step(mrel, msets, True), msets))
 
     for name, rel, step, samples in suite:
         report = check_recursion_equation(rel, step, samples)
@@ -371,8 +356,8 @@ def _check_ordinals(seed: int) -> Optional[str]:
     unit_rel = empty_relation("unit")
     nested = nested_multiset_relation(unit_rel, max_depth=10)
     for _ in range(100):
-        a = _random_notation(rng, 3)
-        b = _random_notation(rng, 3)
+        a = random_notation(rng, 3)
+        b = random_notation(rng, 3)
         if from_nested(to_nested(a)) != a:
             return f"round trip failed on {format_ordinal(a)}"
         direct = compare(a, b) is Ordering.LT
@@ -523,13 +508,7 @@ def _bounded_ordinal_predecessors(upper: OrdinalNotation, nested: bool = False):
         for lower_exponent in lower_exponents:
             for repeat in (1, 2, 3):
                 note(ord_mod.normalize(trimmed + ((lower_exponent, repeat),)))
-    ordered = sorted(
-        candidates,
-        key=cmp_to_key(
-            lambda a, b: {Ordering.LT: 1, Ordering.EQ: 0, Ordering.GT: -1}[compare(a, b)]
-        ),
-    )
-    return tuple((candidate, EQUAL) for candidate in ordered)
+    return tuple((candidate, EQUAL) for candidate in sorted(candidates, reverse=True))
 
 
 def named_descent_order(name: str) -> NamedOrder:

@@ -17,9 +17,9 @@ import sys
 from dataclasses import dataclass
 
 from .core import (
-    DescentBudgetError,
     EvidenceError,
     IncomparableError,
+    WellFoundedError,
     fuzz_descent,
     nat_less,
 )
@@ -36,7 +36,6 @@ EXIT_INVARIANT = 3
 
 @dataclass
 class CliConfig:
-    command: str
     seed: int = 0
     max_steps: int = 10000
     json_output: bool = False
@@ -111,12 +110,9 @@ def _cmd_chain(config: CliConfig, args) -> int:
         return _fail(config, str(error), EXIT_PARSE)
     except IncomparableError as error:
         return _fail(config, str(error), EXIT_INVARIANT)
-    try:
-        chain = fuzz_descent(
-            order.relation, start, max_steps=config.max_steps, seed=config.seed
-        )
-    except DescentBudgetError as error:
-        return _fail(config, str(error), EXIT_FAILURE)
+    chain = fuzz_descent(
+        order.relation, start, max_steps=config.max_steps, seed=config.seed
+    )
     described = [order.describe(element) for element in chain]
     _emit(
         config,
@@ -143,8 +139,6 @@ def _cmd_demo(config: CliConfig, args) -> int:
             _emit(config, {"result": value}, str(value))
     except (ValueError, IndexError) as error:
         return _fail(config, f"bad demo arguments: {error}", EXIT_PARSE)
-    except DescentBudgetError as error:
-        return _fail(config, str(error), EXIT_FAILURE)
     return EXIT_OK
 
 
@@ -224,13 +218,15 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config = CliConfig(
-        command=args.command,
         seed=getattr(args, "seed", 0),
         max_steps=getattr(args, "max_steps", 10000),
         json_output=args.json,
         depth_limit=args.depth_limit,
     )
-    return _HANDLERS[args.command](config, args)
+    try:
+        return _HANDLERS[args.command](config, args)
+    except WellFoundedError as error:
+        return _fail(config, str(error), EXIT_FAILURE)
 
 
 if __name__ == "__main__":

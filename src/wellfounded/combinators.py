@@ -19,6 +19,7 @@ from .core import (
     EvidenceError,
     UndecidableError,
     WFRelation,
+    evidence_validation_enabled,
 )
 
 
@@ -34,12 +35,10 @@ def subrelation(
     into evidence for ``base``; recursion delegates to ``base`` through that
     conversion.
     """
-    from . import core
-
     name = carrier or f"sub({base.carrier})"
 
     def recursor(step, a):
-        validate = core.evidence_validation_enabled()
+        validate = evidence_validation_enabled()
 
         def s(x, ih):
             def rec(x_next, lt):

@@ -10,6 +10,11 @@ when the relation is genuinely well-founded.
 Evidence values are ordinary data.  In release mode recursion never
 inspects them; turning on validation (``set_evidence_validation``) makes
 every recursive call re-check its evidence against ``decide``.
+
+All recursion runs through one evaluator.  It memoizes step values per
+call, so steps must be deterministic, as the recursion equation already
+requires.  Its depth budget (env ``WFREC_DEPTH``) is shared by evaluators
+nested inside each other, such as the columns of a lexicographic order.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import os
 import random
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, Sequence
@@ -66,21 +72,11 @@ EQUAL = EqualWitness()
 
 def recursion_budget() -> int:
     """Logical depth budget for recursion operators (env ``WFREC_DEPTH``)."""
-    raw = os.environ.get("WFREC_DEPTH")
-    if raw is None:
-        return DEFAULT_RECURSION_BUDGET
     try:
-        value = int(raw)
+        value = int(os.environ.get("WFREC_DEPTH", DEFAULT_RECURSION_BUDGET))
     except ValueError:
         return DEFAULT_RECURSION_BUDGET
     return value if value > 0 else DEFAULT_RECURSION_BUDGET
-
-
-def _ensure_stack(logical_depth: int) -> None:
-    # every logical level costs a handful of Python frames
-    needed = min(8 * logical_depth + 500, _STACK_FRAME_CEILING)
-    if sys.getrecursionlimit() < needed:
-        sys.setrecursionlimit(needed)
 
 
 _VALIDATE_EVIDENCE = False
@@ -125,31 +121,62 @@ class WFRelation:
     recursor: Optional[Callable[[StepFunction, Any], Any]] = None
 
     def wfrec(self, step: StepFunction, a: Any) -> Any:
-        if self.recursor is not None:
-            return self.recursor(step, a)
-        return _unfold(step, a)
+        return _evaluate(step, a, self.recursor)
 
     def __repr__(self) -> str:
         return f"WFRelation({self.carrier})"
 
 
-def _unfold(step: StepFunction, a: Any) -> Any:
-    # reference evaluator: unfold the recursion equation directly
-    budget = recursion_budget()
-    _ensure_stack(budget)
+_threads = threading.local()  # per thread: depth of the innermost running step
 
-    def go(x, depth):
+
+def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
+    # The recursion evaluator: through ``recursor`` when the relation has
+    # one, else by unfolding the recursion equation with a memo per call.
+    # A call runs one below the deeper of its caller and the innermost step
+    # still running, so nested evaluators draw on one budget.
+    budget = recursion_budget()
+    frames = min(8 * budget + 500, _STACK_FRAME_CEILING)  # a few per level
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), frames))
+    running = _threads.__dict__.setdefault("running", [-1])
+    memo: dict = {}
+
+    def call(x, depth):
+        try:
+            if x in memo:
+                return memo[x]
+        except TypeError:  # unhashable: unfolded without the memo
+            pass
+        outer = running[0]
+        if outer >= depth:
+            depth = outer + 1
         if depth > budget:
             raise RecursionBudgetError(
                 f"descent deeper than {budget} (override with WFREC_DEPTH)"
             )
 
         def rec(x_next, _evidence):
-            return go(x_next, depth + 1)
+            return call(x_next, depth + 1)
 
-        return step(x, rec)
+        running[0] = depth
+        try:
+            value = step(x, rec)
+        finally:
+            running[0] = outer
+        try:
+            memo[x] = value
+        except TypeError:
+            pass
+        return value
 
-    return go(a, 0)
+    try:
+        if recursor is not None:
+            return recursor(step, a)
+        return call(a, 0)
+    except RecursionError:
+        raise RecursionBudgetError(
+            f"Python stack exhausted before the depth budget of {budget} ran out"
+        ) from None
 
 
 def _validating_step(rel: WFRelation, step: StepFunction) -> StepFunction:
@@ -229,35 +256,11 @@ def nat_less() -> WFRelation:
 
 
 def nat_wfrec(step: StepFunction, n: int) -> Any:
-    """Course-of-values recursion on the naturals.
-
-    Implemented by structural recursion on the bound: the handler for
-    evidence ``m < k`` peels right injections down to the equality leaf and
-    restarts the step there, so computation is driven by the evidence
-    itself.  Step results are cached per bound; the step must be
-    deterministic, which the recursion-equation contract already requires.
-    """
-    values: dict[int, Any] = {}
-
-    def at(k):
-        if k not in values:
-            values[k] = step(k, handler(k))
-        return values[k]
-
-    def handler(k):
-        def rec(_m, evidence):
-            if evidence is None:
-                raise EvidenceError("missing evidence for course-of-values call")
-            bound, node = k, evidence
-            while node.rest is not None:
-                bound, node = bound - 1, node.rest
-            if bound <= 0:
-                raise EvidenceError("nothing lies below 0")
-            return at(bound - 1)
-
-        return rec
-
-    return at(n)
+    """Course-of-values recursion on the naturals: the step may call back
+    on any smaller natural.  Step values are memoized per call, so the step
+    must be deterministic, as the recursion equation already requires; the
+    depth budget is the ``WFREC_DEPTH`` budget shared by every evaluator."""
+    return _evaluate(step, n)
 
 
 def empty_relation(carrier: str = "unit") -> WFRelation:

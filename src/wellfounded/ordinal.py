@@ -40,6 +40,10 @@ class OrdinalNotation:
     def __repr__(self) -> str:
         return f"OrdinalNotation({format_ordinal(self)!r})"
 
+    def __lt__(self, other: "OrdinalNotation") -> bool:
+        """The order of ``compare``, so that notations sort."""
+        return compare(self, other) is Ordering.LT
+
 
 ZERO_ORD = OrdinalNotation(())
 

@@ -26,6 +26,40 @@ class WTree:
     def __repr__(self) -> str:
         return render(self)
 
+    # Equality and hashing run without Python recursion, so deep trees such
+    # as large numerals compare; the results are the generated methods'.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if (
+                    a.__class__ is not b.__class__
+                    or not (a.label is b.label or a.label == b.label)
+                    or len(a.branches) != len(b.branches)
+                ):
+                    return False
+                pairs.extend(zip(reversed(a.branches), reversed(b.branches)))
+        return True
+
+    def __hash__(self):
+        nodes, stack = [], [self]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1].branches)
+        known = {}  # children come after their parent in ``nodes``
+        for node in reversed(nodes):
+            branches = tuple(_Hashed(known[id(b)]) for b in node.branches)
+            known[id(node)] = hash((node.label, branches))
+        return known[id(self)]
+
+
+# an int that hashes to itself: a subtree whose hash is already known
+_Hashed = type("_Hashed", (int,), {"__hash__": int.__int__})
+
 
 def leaf(label) -> WTree:
     return WTree(label=label, branches=())

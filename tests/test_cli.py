@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wellfounded.cli import main
 
 
@@ -123,6 +125,20 @@ class TestDemoCommand:
     def test_bad_arguments_exit_two(self, capsys):
         code, _out, _err = run(capsys, "demo", "fib", "ten")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("demo", "fib", "5000"),
+            ("demo", "quicksort", ",".join(str(v) for v in range(2100))),
+        ],
+        ids=["fib", "sorted-quicksort"],
+    )
+    def test_depth_budget_exits_one_with_json_error(self, capsys, argv):
+        code, out, err = run(capsys, "--json", *argv)
+        assert code == 1
+        assert list(json.loads(out)) == ["error"]
+        assert "Traceback" not in out + err
 
 
 class TestCheckCommand:

@@ -5,6 +5,8 @@ from wellfounded import (
     DescentBudgetError,
     EvidenceError,
     NatLessEvidence,
+    RecursionBudgetError,
+    WFRelation,
     check_recursion_equation,
     check_unique_solution,
     empty_relation,
@@ -61,6 +63,92 @@ class TestWfrec:
         with validated_evidence():
             with pytest.raises(EvidenceError):
                 wfrec(nat_less(), cheating, 1)
+
+
+def column_then_drop(top):
+    # run the second component down to 0, then drop to (m - 1, top);
+    # the value is the number of recursive calls made
+    def step(pair, rec):
+        m, n = pair
+        if n > 0:
+            return 1 + rec((m, n - 1), lex_second(nat_less_decide(n - 1, n)))
+        if m > 0:
+            return 1 + rec((m - 1, top), lex_first(nat_less_decide(m - 1, m)))
+        return 0
+
+    return step
+
+
+class TestEvaluator:
+    def test_deep_descents_raise_the_budget_error(self):
+        with pytest.raises(RecursionBudgetError):
+            nat_wfrec(fib_step, 5000)
+        with pytest.raises(RecursionBudgetError):
+            wfrec(nat_less(), fib_step, 5000)
+
+    def test_lex_columns_share_the_budget(self):
+        order = lex_product(nat_less(), nat_less())
+        with pytest.raises(RecursionBudgetError):
+            wfrec(order, column_then_drop(1500), (3, 1500))
+
+    def test_budget_counts_the_whole_composed_descent(self, monkeypatch):
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        order = lex_product(nat_less(), nat_less())
+        step = column_then_drop(30)
+        with pytest.raises(RecursionBudgetError):
+            wfrec(order, step, (1, 30))  # 30 + 1 + 30 levels
+        assert wfrec(order, step, (1, 15)) == 46  # 15 + 1 + 30 levels
+
+    def test_stack_exhaustion_is_a_budget_error(self, monkeypatch):
+        # a budget beyond what the Python stack holds
+        monkeypatch.setenv("WFREC_DEPTH", "1000000")
+
+        def chain(n, rec):
+            return 0 if n == 0 else 1 + rec(n - 1, nat_less_decide(n - 1, n))
+
+        with pytest.raises(RecursionBudgetError):
+            nat_wfrec(chain, 50000)
+
+    def test_each_element_steps_once_per_call(self):
+        calls = []
+
+        def census(x, rec):
+            calls.append(x)
+            return 1 + sum(rec(y, nat_less_decide(y, x)) for y in range(x))
+
+        assert wfrec(nat_less(), census, 12) == 2 ** 12
+        assert sorted(calls) == list(range(13))
+
+    def test_unhashable_elements_unfold_without_the_memo(self):
+        by_length = WFRelation(
+            carrier="list-by-length",
+            decide=lambda lower, upper: nat_less_decide(len(lower), len(upper)),
+        )
+
+        def total(items, rec):
+            if not items:
+                return 0
+            return items[0] + rec(items[1:], by_length.decide(items[1:], items))
+
+        assert wfrec(by_length, total, [1, 2, 3, 4]) == 10
+
+    def test_memoized_elements_still_have_their_evidence_checked(self):
+        by_length = WFRelation(
+            carrier="tuple-by-length",
+            decide=lambda lower, upper: nat_less_decide(len(lower), len(upper)),
+        )
+
+        def step(items, rec):
+            if len(items) == 3:
+                return rec((9, 9), None) + rec((7,), None)
+            if items == (7,):
+                return rec((9, 9), None)  # up to an element already in the memo
+            return len(items)
+
+        assert wfrec(by_length, step, (1, 2, 3)) == 4
+        with validated_evidence():
+            with pytest.raises(EvidenceError):
+                wfrec(by_length, step, (1, 2, 3))
 
 
 class TestNatLessDecide:

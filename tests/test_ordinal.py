@@ -1,6 +1,4 @@
 import itertools
-import random
-from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +17,7 @@ from wellfounded import (
     parse_ordinal,
     to_nested,
 )
+from wellfounded.checks import random_notation
 from wellfounded.ordinal import ONE, add, from_nat, normalize, omega_power
 
 
@@ -30,21 +29,6 @@ def vector_below_omega_omega(o: OrdinalNotation, width: int) -> tuple:
         position = exponent.terms[0][1] if exponent.terms else 0
         vector[width - 1 - position] = coefficient
     return tuple(vector)
-
-
-def random_notation(rng: random.Random, depth: int) -> OrdinalNotation:
-    if depth == 0 or rng.random() < 0.3:
-        return from_nat(rng.randrange(0, 4))
-    exponents = []
-    for _ in range(rng.randrange(1, 4)):
-        candidate = random_notation(rng, depth - 1)
-        if all(compare(candidate, seen) is not Ordering.EQ for seen in exponents):
-            exponents.append(candidate)
-    order = {Ordering.LT: 1, Ordering.EQ: 0, Ordering.GT: -1}
-    exponents.sort(key=cmp_to_key(lambda a, b: order[compare(a, b)]))
-    return OrdinalNotation(
-        tuple((exponent, rng.randrange(1, 4)) for exponent in exponents)
-    )
 
 
 class TestCompare:

@@ -1,8 +1,11 @@
 import random
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
 
 from wellfounded import (
+    RecursionBudgetError,
     WTree,
     check_recursion_equation,
     check_tree_embedding,
@@ -22,6 +25,8 @@ from wellfounded import (
     wtree_relation,
 )
 
+from wellfounded.wtree import NatLabel
+
 from conftest import random_dag_relation
 
 
@@ -33,6 +38,10 @@ def random_tree(rng: random.Random, depth: int) -> WTree:
         label=rng.randrange(10),
         branches=tuple(random_tree(rng, depth - 1) for _ in range(width)),
     )
+
+
+def relabel(tree: WTree, change) -> WTree:
+    return WTree(change(tree.label), tuple(relabel(b, change) for b in tree.branches))
 
 
 def node_count(tree: WTree) -> int:
@@ -122,6 +131,41 @@ class TestWtreeRelation:
 
 
 class TestNatEncoding:
+    def test_deep_numerals_compare_and_hash(self):
+        assert encode_nat(20000) == encode_nat(20000)
+        assert hash(encode_nat(20000)) == hash(encode_nat(20000))
+        other_leaf = leaf("zero")
+        for _ in range(20000):
+            other_leaf = WTree(label=NatLabel.SUCC, branches=(other_leaf,))
+        assert encode_nat(20000) != other_leaf
+
+    def test_deep_recursion_is_a_budget_error(self):
+        trees = wtree_relation()
+
+        def height(w, rec):
+            return 1 + max((rec(b, trees.decide(b, w)) for b in w.branches), default=0)
+
+        assert wfrec(trees, height, encode_nat(1000)) == 1001
+        with pytest.raises(RecursionBudgetError):
+            wfrec(trees, height, encode_nat(20000))
+
+    def test_equality_and_hash_match_generated_methods(self, rng):
+        @dataclass(frozen=True)
+        class Generated:
+            label: Any
+            branches: tuple = ()
+
+        def generated(tree):
+            return Generated(tree.label, tuple(generated(b) for b in tree.branches))
+
+        # small labels, so that equal trees turn up among the samples
+        trees = [random_tree(rng, 3) for _ in range(60)]
+        trees = [relabel(tree, lambda label: label % 2) for tree in trees]
+        for a in trees:
+            assert hash(a) == hash(generated(a))
+            for b in trees:
+                assert (a == b) == (generated(a) == generated(b))
+
     def test_zero_is_a_leaf(self):
         assert encode_nat(0).branches == ()
 
