@@ -157,22 +157,41 @@ def validate_chain(base: WFRelation, chain: ChainEvidence) -> bool:
     )
 
 
+def first_visit(seen: set, unhashable: list, element) -> bool:
+    """Mark ``element`` visited; False when it already was.  Hashable
+    elements go in ``seen``; unhashable ones in ``unhashable``, searched by
+    equality, as the recursion evaluator unfolds them without its memo."""
+    try:
+        if element in seen:
+            return False
+        seen.add(element)
+    except TypeError:
+        if element in unhashable:
+            return False
+        unhashable.append(element)
+    return True
+
+
 def _search_chain(base: WFRelation, lower, upper) -> Optional[ChainEvidence]:
-    # backward breadth-first search: shortest chain, predecessor order ties
-    paths = [((upper,), ())]
-    seen = [upper]
-    while paths:
-        next_paths = []
-        for nodes, links in paths:
-            for element, evidence in base.predecessors(nodes[0]):
-                if element == lower:
-                    return ChainEvidence(
-                        nodes=(element,) + nodes, links=(evidence,) + links
-                    )
-                if element not in seen:
-                    seen.append(element)
-                    next_paths.append(((element,) + nodes, (evidence,) + links))
-        paths = next_paths
+    # backward breadth-first search: shortest chain, predecessor order ties.
+    # A reached node is kept as (node, link to its parent, parent), and the
+    # chain is read off these parent pointers once ``lower`` turns up.  The
+    # frontier list is read as a queue while the loop appends to it.
+    seen, unhashable = set(), []
+    first_visit(seen, unhashable, upper)
+    frontier = [(upper, None, None)]
+    for reached in frontier:
+        for element, evidence in base.predecessors(reached[0]):
+            if element == lower:
+                nodes, links = [element], [evidence]
+                while reached is not None:
+                    node, link, reached = reached
+                    nodes.append(node)
+                    if reached is not None:
+                        links.append(link)
+                return ChainEvidence(nodes=tuple(nodes), links=tuple(links))
+            if first_visit(seen, unhashable, element):
+                frontier.append((element, evidence, reached))
     return None
 
 
@@ -197,20 +216,17 @@ def transitive_closure(base: WFRelation) -> WFRelation:
         return _search_chain(base, lower, upper)
 
     def predecessors(upper):
-        found = []
-        frontier = [((upper,), ())]
-        while frontier:
-            next_frontier = []
-            for nodes, links in frontier:
-                for element, evidence in base.predecessors(nodes[0]):
-                    if any(element == done for done, _ in found):
-                        continue
+        # breadth-first, with the frontier list read as a queue
+        seen, unhashable = set(), []
+        found, frontier = [], [((upper,), ())]
+        for nodes, links in frontier:
+            for element, evidence in base.predecessors(nodes[0]):
+                if first_visit(seen, unhashable, element):
                     chain = ChainEvidence(
                         nodes=(element,) + nodes, links=(evidence,) + links
                     )
                     found.append((element, chain))
-                    next_frontier.append(((element,) + nodes, (evidence,) + links))
-            frontier = next_frontier
+                    frontier.append((chain.nodes, chain.links))
         return tuple(found)
 
     def recursor(step, a):

@@ -151,9 +151,7 @@ def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
         if outer >= depth:
             depth = outer + 1
         if depth > budget:
-            raise RecursionBudgetError(
-                f"descent deeper than {budget} (override with WFREC_DEPTH)"
-            )
+            raise _budget_error(budget)
 
         def rec(x_next, _evidence):
             return call(x_next, depth + 1)
@@ -177,6 +175,18 @@ def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
         raise RecursionBudgetError(
             f"Python stack exhausted before the depth budget of {budget} ran out"
         ) from None
+
+
+def _budget_error(budget: int) -> RecursionBudgetError:
+    return RecursionBudgetError(
+        f"descent deeper than {budget} (override with WFREC_DEPTH)"
+    )
+
+
+def _depth_room() -> int:
+    # levels that a recursor descending on its own, such as a structural
+    # fold, may still go below the innermost running step within the budget
+    return recursion_budget() - _threads.__dict__.get("running", (-1,))[0] - 1
 
 
 def _validating_step(rel: WFRelation, step: StepFunction) -> StepFunction:
@@ -207,43 +217,58 @@ def wfrec(rel: WFRelation, step: StepFunction, a: Any) -> Any:
 # ---------------------------------------------------------------------------
 # The ordering < on the natural numbers.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NatLessEvidence:
     """Witness that ``m < n`` built from ``m < n+1 = (m = n) + (m < n)``.
 
-    A leaf (``rest is None``) is the left injection carrying an equality
-    witness; otherwise the right injection wraps evidence for ``m < n - 1``.
-    The chain for ``m < n`` has exactly ``n - m - 1`` wrappers.
+    The evidence for ``m < n`` is ``n - m - 1`` right injections wrapped
+    around a left injection that carries an equality witness.  Only that
+    number of wrappers, ``gap``, is stored, so evidence of any size takes
+    constant space and time.  ``rest`` unfolds one wrapper on demand: it is
+    the evidence for ``gap - 1``, or ``None`` at the leaf.
+    ``NatLessEvidence(rest=e)`` wraps ``e`` in one more injection.
     """
 
-    rest: Optional["NatLessEvidence"] = None
+    gap: int
+
+    def __init__(self, rest: Optional["NatLessEvidence"] = None):
+        object.__setattr__(self, "gap", 0 if rest is None else rest.gap + 1)
+
+    @property
+    def rest(self) -> Optional["NatLessEvidence"]:
+        return _nat_evidence(self.gap - 1) if self.gap else None
 
     @property
     def equality(self) -> Optional[EqualWitness]:
-        return EQUAL if self.rest is None else None
+        return EQUAL if self.gap == 0 else None
 
     def depth(self) -> int:
-        count, node = 0, self
-        while node.rest is not None:
-            count, node = count + 1, node.rest
-        return count
+        return self.gap
 
     def __repr__(self) -> str:
-        return "inr(" + repr(self.rest) + ")" if self.rest else "inl(eq)"
+        return "inr(" * self.gap + "inl(eq)" + ")" * self.gap
+
+
+_NAT_LEAF = NatLessEvidence()  # immutable, so every m < m + 1 shares it
+
+
+def _nat_evidence(gap: int) -> NatLessEvidence:
+    if gap == 0:
+        return _NAT_LEAF
+    evidence = object.__new__(NatLessEvidence)
+    object.__setattr__(evidence, "gap", gap)
+    return evidence
 
 
 def nat_less_decide(m: int, n: int) -> Optional[NatLessEvidence]:
     """Decide ``m < n``, returning the definitional evidence chain."""
     if not 0 <= m < n:
         return None
-    evidence = NatLessEvidence()
-    for _ in range(n - m - 1):
-        evidence = NatLessEvidence(rest=evidence)
-    return evidence
+    return _nat_evidence(n - m - 1)
 
 
 def _nat_predecessors(n: int):
-    return tuple((m, nat_less_decide(m, n)) for m in range(n))
+    return tuple((m, _nat_evidence(n - m - 1)) for m in range(n))
 
 
 def nat_less() -> WFRelation:

@@ -34,11 +34,7 @@ def length(items) -> int:
 
 
 def filter_list(keep: Callable[[Any], bool], items) -> tuple:
-    kept = ()
-    for item in items:
-        if keep(item):
-            kept += (item,)
-    return kept
+    return tuple(item for item in items if keep(item))
 
 
 def append(front, back) -> tuple:
@@ -63,7 +59,9 @@ def quicksort(le: Callable[[Any, Any], bool], items) -> tuple:
     """Sort by recursion on the length measure.
 
     ``le(b, a)`` reads "b is less than or equal to a"; elements equal under
-    the ordering land in the front partition.
+    the ordering land in the front partition.  Each partition is filtered
+    once; its evidence is ``length(part) < length(tail) + 1``, the bound
+    that ``filter_below_cons`` states.
     """
     order = list_length_order()
 
@@ -78,8 +76,10 @@ def quicksort(le: Callable[[Any, Any], bool], items) -> tuple:
         def after(b):
             return not le(b, head)
 
-        front = rec(filter_list(before, tail), filter_below_cons(before, head, tail))
-        back = rec(filter_list(after, tail), filter_below_cons(after, head, tail))
+        bound = length(tail) + 1
+        smaller, larger = filter_list(before, tail), filter_list(after, tail)
+        front = rec(smaller, nat_less_decide(length(smaller), bound))
+        back = rec(larger, nat_less_decide(length(larger), bound))
         return append(front, (head,) + back)
 
     return wfrec(order, step, tuple(items))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from .core import EvidenceError, UndecidableError, WFRelation
-from .combinators import ChainEvidence, single_step, transitive_closure
+from .combinators import ChainEvidence, first_visit, single_step, transitive_closure
 
 
 @dataclass(frozen=True)
@@ -307,14 +307,15 @@ def pow_relation(rel: WFRelation) -> WFRelation:
 
 
 def _downward_closure(rel: WFRelation, seeds) -> tuple:
-    closed: list = []
-    frontier = list(seeds)
-    while frontier:
-        element = frontier.pop(0)
-        if element in closed:
-            continue
-        closed.append(element)
-        frontier.extend(below for below, _e in rel.predecessors(element))
+    # breadth-first: ``closed`` is read as a queue while it grows
+    seen, unhashable = set(), []
+    closed = [seed for seed in seeds if first_visit(seen, unhashable, seed)]
+    for element in closed:
+        closed.extend(
+            below
+            for below, _e in rel.predecessors(element)
+            if first_visit(seen, unhashable, below)
+        )
     return tuple(closed)
 
 

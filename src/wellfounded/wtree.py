@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
-from .core import WFRelation
+from .core import WFRelation, _budget_error, _depth_room, recursion_budget
 
 
 @dataclass(frozen=True)
@@ -67,17 +67,42 @@ def leaf(label) -> WTree:
 
 def render(tree: WTree) -> str:
     """Deterministic textual form: label, then parenthesized branches."""
-    name = tree.label.name if isinstance(tree.label, enum.Enum) else str(tree.label)
-    if not tree.branches:
-        return name
-    return name + "(" + ", ".join(render(branch) for branch in tree.branches) + ")"
+    parts = []
+    stack = [tree]  # trees still to render, and the text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        label = item.label
+        parts.append(label.name if isinstance(label, enum.Enum) else str(label))
+        if item.branches:
+            parts.append("(")
+            stack.append(")")
+            for index in range(len(item.branches) - 1, -1, -1):
+                stack.append(item.branches[index])
+                if index:
+                    stack.append(", ")
+    return "".join(parts)
 
 
 def tree_fold(step: Callable[[Any, tuple, tuple], Any], tree: WTree):
     """Structural fold: apply ``step(label, branches, branch_values)`` at each
-    node once all branch values are known."""
-    branch_values = tuple(tree_fold(step, branch) for branch in tree.branches)
-    return step(tree.label, tree.branches, branch_values)
+    node once all branch values are known.  Nodes are visited in post-order,
+    left to right, over an explicit stack, so any depth folds."""
+    values: list = []  # values of the finished subtrees, in order
+    stack = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if not expanded:
+            stack.append((node, True))
+            stack.extend((branch, False) for branch in reversed(node.branches))
+            continue
+        count = len(node.branches)
+        branch_values = tuple(values[len(values) - count:])
+        del values[len(values) - count:]
+        values.append(step(node.label, node.branches, branch_values))
+    return values[0]
 
 
 def subtree_decide(lower: WTree, upper: WTree) -> Optional[int]:
@@ -100,15 +125,22 @@ def wtree_relation() -> WFRelation:
     """The immediate-subtree relation; evidence is a branch index."""
 
     def recursor(step, tree):
-        def at_node(label, branches, branch_values):
+        room = _depth_room()
+
+        # each node yields its step value and its height, so that a tree
+        # deeper than the shared depth budget allows is a budget error
+        def at_node(label, branches, results):
+            height = 1 + max((h for _value, h in results), default=-1)
+            if height > room:
+                raise _budget_error(recursion_budget())
             node = WTree(label=label, branches=branches)
 
             def rec(_subtree, index):
-                return branch_values[index]
+                return results[index][0]
 
-            return step(node, rec)
+            return step(node, rec), height
 
-        return tree_fold(at_node, tree)
+        return tree_fold(at_node, tree)[0]
 
     return WFRelation(
         carrier="wtree",

@@ -198,6 +198,52 @@ class TestTransitiveClosure:
                         assert validate_chain(rel, got)
                         assert got.lower == low and got.upper == up
 
+    @given(
+        st.integers(0, 10**6),
+        st.integers(1, 10),
+        st.sampled_from([0.15, 0.3, 0.5]),
+    )
+    def test_chain_search_against_bfs_over_decide(self, seed, size, density):
+        rel, _edges = random_dag_relation(random.Random(seed), size, density)
+        closure = transitive_closure(rel)
+        for upper in range(size):
+            # independent oracle: breadth-first over decide on all pairs
+            distance, frontier = {upper: 0}, [upper]
+            while frontier:
+                below = []
+                for node in frontier:
+                    for element in range(size):
+                        if element not in distance and rel.decide(element, node):
+                            distance[element] = distance[node] + 1
+                            below.append(element)
+                frontier = below
+            del distance[upper]
+            for lower in range(size):
+                chain = closure.decide(lower, upper)
+                assert (chain is not None) == (lower in distance)
+                if chain is not None:
+                    assert validate_chain(rel, chain)
+                    assert (chain.lower, chain.upper) == (lower, upper)
+                    assert len(chain) == distance[lower]
+            found = closure.predecessors(upper)
+            assert sorted(element for element, _c in found) == sorted(distance)
+            for element, chain in found:
+                assert validate_chain(rel, chain)
+                assert (chain.lower, chain.upper) == (element, upper)
+                assert len(chain) == distance[element]
+
+    def test_unhashable_elements_are_searched(self):
+        immediate = WFRelation(
+            carrier="lists",
+            decide=lambda low, up: EQUAL if low[0] + 1 == up[0] else None,
+            predecessors=lambda up: (([up[0] - 1], EQUAL),) if up[0] > 0 else (),
+        )
+        closure = transitive_closure(immediate)
+        chain = closure.decide([0], [3])
+        assert chain.nodes == ([0], [1], [2], [3]) and len(chain) == 3
+        assert closure.decide([3], [0]) is None
+        assert [element for element, _c in closure.predecessors([3])] == [[2], [1], [0]]
+
     def test_undecidable_without_enumeration(self):
         bare = WFRelation(
             carrier="bare",

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wellfounded import (
+    EQUAL,
     DescentBudgetError,
     EvidenceError,
     NatLessEvidence,
@@ -172,6 +173,48 @@ class TestNatLessDecide:
         for m in range(6):
             for n in range(m + 1, 8):
                 assert nat_less_decide(m, n).depth() == n - m - 1
+
+    def test_deep_evidence_prints_compares_and_hashes(self):
+        deep = nat_less_decide(0, 10**5)
+        gap = 10**5 - 1
+        assert repr(deep) == "inr(" * gap + "inl(eq)" + ")" * gap
+        assert deep == nat_less_decide(7, 10**5 + 7)
+        assert deep != nat_less_decide(0, 10**5 - 1)
+        assert hash(deep) == hash(nat_less_decide(7, 10**5 + 7))
+        assert deep.depth() == gap
+
+    @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.integers(0, n - 1), st.just(n))))
+    def test_rest_unfolds_every_wrapper(self, pair):
+        m, n = pair
+        evidence, wrappers = nat_less_decide(m, n), 0
+        while evidence.rest is not None:
+            assert evidence.equality is None
+            evidence, wrappers = evidence.rest, wrappers + 1
+        assert wrappers == n - m - 1
+        assert evidence.equality is EQUAL
+
+    def test_equals_the_hand_nested_chain(self):
+        def recursive_repr(evidence):  # the form of the unary chain's repr
+            if evidence.rest:
+                return "inr(" + recursive_repr(evidence.rest) + ")"
+            return "inl(eq)"
+
+        nested = NatLessEvidence()
+        for gap in range(40):
+            decided = nat_less_decide(3, gap + 4)
+            assert decided == nested and hash(decided) == hash(nested)
+            assert nested.depth() == gap
+            assert repr(decided) == repr(nested) == recursive_repr(nested)
+            assert decided != NatLessEvidence(rest=nested)
+            nested = NatLessEvidence(rest=nested)
+
+    def test_evidence_is_immutable(self):
+        evidence = nat_less_decide(0, 3)
+        with pytest.raises(AttributeError):
+            evidence.gap = 0
+        with pytest.raises(AttributeError):
+            evidence.rest = None
+        assert evidence.depth() == 2
 
     @given(st.integers(0, 40), st.integers(0, 40))
     def test_matches_host_comparison(self, m, n):

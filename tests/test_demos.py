@@ -12,6 +12,7 @@ from wellfounded import (
     fib,
     quicksort,
     transitive_closure,
+    validated_evidence,
     wfrec,
 )
 from wellfounded.demos import (
@@ -77,6 +78,17 @@ class TestQuicksort:
         for _ in range(300):
             values = [rng.randrange(100) for _ in range(rng.randrange(51))]
             assert quicksort(lambda a, b: a <= b, values) == tuple(sorted(values))
+
+    def test_filters_each_partition_once(self):
+        calls = []
+
+        def le(b, a):
+            calls.append((b, a))
+            return b <= a
+
+        with validated_evidence():
+            assert quicksort(le, range(30)) == tuple(range(30))
+        assert len(calls) == 30 * 29  # both partitions of every tail, once each
 
     def test_unfolded_recursion_equations(self, rng):
         le = lambda a, b: a <= b

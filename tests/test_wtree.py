@@ -76,6 +76,33 @@ class TestTreeFold:
             assert tree_fold(height_step, tree) == oracle_height(tree)
 
 
+    def test_post_order_and_values_match_the_recursive_fold(self, rng):
+        def recursive_fold(step, tree):
+            values = tuple(recursive_fold(step, branch) for branch in tree.branches)
+            return step(tree.label, tree.branches, values)
+
+        def recording(visits):
+            def step(label, branches, values):
+                visits.append((label, len(branches), values))
+                return (label * 7 + sum(values)) % 101
+
+            return step
+
+        for _ in range(25):
+            tree = random_tree(rng, 5)
+            iterative, recursive = [], []
+            assert tree_fold(recording(iterative), tree) == recursive_fold(
+                recording(recursive), tree
+            )
+            assert iterative == recursive
+
+    def test_deep_numeral_folds(self):
+        def count(_label, _branches, values):
+            return values[0] + 1 if values else 0
+
+        assert tree_fold(count, encode_nat(20000)) == 20000
+
+
 class TestSubtreeDecide:
     def test_first_branch(self):
         assert subtree_decide(leaf("b"), WTree("a", (leaf("b"),))) == 0
@@ -138,6 +165,17 @@ class TestNatEncoding:
         for _ in range(20000):
             other_leaf = WTree(label=NatLabel.SUCC, branches=(other_leaf,))
         assert encode_nat(20000) != other_leaf
+
+    def test_fold_depth_is_charged_to_the_budget(self, monkeypatch):
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        trees = wtree_relation()
+
+        def height(w, rec):
+            return 1 + max((rec(b, trees.decide(b, w)) for b in w.branches), default=0)
+
+        assert wfrec(trees, height, encode_nat(50)) == 51
+        with pytest.raises(RecursionBudgetError):
+            wfrec(trees, height, encode_nat(51))
 
     def test_deep_recursion_is_a_budget_error(self):
         trees = wtree_relation()
@@ -235,3 +273,17 @@ class TestRendering:
 
     def test_repr_is_the_rendering(self):
         assert repr(leaf("x")) == "x"
+
+    def test_matches_the_recursive_rendering(self, rng):
+        def recursive_render(tree):
+            if not tree.branches:
+                return str(tree.label)
+            inner = ", ".join(recursive_render(branch) for branch in tree.branches)
+            return f"{tree.label}({inner})"
+
+        for _ in range(50):
+            tree = random_tree(rng, 5)
+            assert render(tree) == recursive_render(tree)
+
+    def test_deep_numeral_renders(self):
+        assert repr(encode_nat(20000)) == "SUCC(" * 20000 + "ZERO" + ")" * 20000
