@@ -28,6 +28,9 @@ class WTree:
 
     # Equality and hashing run without Python recursion, so deep trees such
     # as large numerals compare; the results are the generated methods'.
+    # Each node keeps its hash once computed, so a tree hashed before costs
+    # one lookup, and a new tree over hashed subtrees hashes only its new
+    # nodes.
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -46,15 +49,24 @@ class WTree:
         return True
 
     def __hash__(self):
-        nodes, stack = [], [self]
+        stack = [self]
         while stack:
-            nodes.append(stack.pop())
-            stack.extend(nodes[-1].branches)
-        known = {}  # children come after their parent in ``nodes``
-        for node in reversed(nodes):
-            branches = tuple(_Hashed(known[id(b)]) for b in node.branches)
-            known[id(node)] = hash((node.label, branches))
-        return known[id(self)]
+            node = stack[-1]
+            if "_hash" in node.__dict__:
+                stack.pop()
+                continue
+            unknown = [b for b in node.branches if "_hash" not in b.__dict__]
+            if unknown:  # hash the branches first; the node is met again
+                stack.extend(unknown)
+                continue
+            branches = tuple(_Hashed(b.__dict__["_hash"]) for b in node.branches)
+            object.__setattr__(node, "_hash", hash((node.label, branches)))
+            stack.pop()
+        return self.__dict__["_hash"]
+
+    def __getstate__(self):
+        # without the cached hash: a label's hash may differ in another process
+        return {"label": self.label, "branches": self.branches}
 
 
 # an int that hashes to itself: a subtree whose hash is already known

@@ -1,63 +1,6 @@
-import itertools
 import random
 
 import pytest
-
-from wellfounded import (
-    EQUAL,
-    WFRelation,
-    descending,
-    multiset_of,
-    nat_less,
-    with_enumerated_predecessors,
-)
-
-
-def iterative_fib(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
-def direct_ackermann(m: int, n: int) -> int:
-    if m == 0:
-        return n + 1
-    if n == 0:
-        return direct_ackermann(m - 1, 1)
-    return direct_ackermann(m - 1, direct_ackermann(m, n - 1))
-
-
-def all_descending_lists(bound: int):
-    nat = nat_less()
-    out = []
-    for size in range(bound + 1):
-        for combo in itertools.combinations(range(bound - 1, -1, -1), size):
-            out.append(descending(nat, combo))
-    return out
-
-
-def all_multisets(carrier, max_size: int):
-    nat = nat_less()
-    out = []
-    for size in range(max_size + 1):
-        for combo in itertools.combinations_with_replacement(carrier, size):
-            out.append(multiset_of(nat, combo))
-    return out
-
-
-def random_dag_relation(rng: random.Random, size: int, density: float = 0.4):
-    edges = {
-        (low, high)
-        for low in range(size)
-        for high in range(low + 1, size)
-        if rng.random() < density
-    }
-    rel = WFRelation(
-        carrier=f"dag{size}",
-        decide=lambda low, up: EQUAL if (low, up) in edges else None,
-    )
-    return with_enumerated_predecessors(rel, range(size)), edges
 
 
 @pytest.fixture

@@ -1,513 +1,28 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: every entry of the property battery at its full size.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines alongside the pytest verdicts.
+``wf check`` runs the same entries of ``wellfounded.checks.PROPERTIES`` at
+their small sizes; here each runs at the sizes and seed of the acceptance
+criteria it reproduces.  Run with ``pytest tests/test_acceptance.py -v -s``
+to see one PASS/FAIL line per entry beside the pytest verdicts.
 """
 
-import itertools
-import random
 import time
 
-from wellfounded import (
-    EQUAL,
-    Inl,
-    Inr,
-    WFRelation,
-    WTree,
-    ackermann,
-    check_recursion_equation,
-    check_tree_embedding,
-    check_unique_solution,
-    disjoint_sum,
-    dm_oracle,
-    encode_nat,
-    fib,
-    finfun_exp,
-    finite_function,
-    fuzz_descent,
-    inverse_image,
-    leaf,
-    lex_family,
-    lex_product,
-    multiset_relation,
-    nat_less,
-    nat_less_decide,
-    nested_multiset_relation,
-    nm_atom,
-    nm_empty,
-    nm_singleton,
-    nm_union,
-    pow_nat_rank,
-    pow_relation,
-    quicksort,
-    stepped,
-    stepped_lex,
-    subrelation,
-    transitive_closure,
-    with_enumerated_predecessors,
-    wfrec,
-    wtree_relation,
-)
-from wellfounded.checks import named_descent_order
-from wellfounded.demos import append, filter_list
-from wellfounded.ordinal import (
-    Ordering,
-    OrdinalNotation,
-    compare,
-    from_nat,
-    from_nested,
-    to_nested,
-)
-from wellfounded import empty_relation
+import pytest
 
-from conftest import (
-    all_descending_lists,
-    all_multisets,
-    direct_ackermann,
-    iterative_fib,
-    random_dag_relation,
-)
-from test_ordinal import random_notation
+from wellfounded.checks import PROPERTIES
 
 
-def verdict(label: str, ok: bool, detail: str = ""):
+@pytest.mark.parametrize(
+    "name, check, full",
+    [(name, check, full) for name, check, _small, full in PROPERTIES],
+    ids=[name for name, *_entry in PROPERTIES],
+)
+def test_property(name, check, full):
+    started = time.perf_counter()
+    problem = check(**full)
+    elapsed = time.perf_counter() - started
+    ok = problem is None and elapsed < 60
     status = "PASS" if ok else "FAIL"
-    suffix = f" ({detail})" if detail else ""
-    print(f"{status} {label}{suffix}")
-    assert ok, f"{label}{suffix}"
-
-
-def descending_chain_step(rel, pool):
-    # linear-depth step: recurse on the first pool element strictly below
-    pool = tuple(pool)
-
-    def step(x, rec):
-        for candidate in pool:
-            evidence = rel.decide(candidate, x)
-            if evidence is not None:
-                return 1 + rec(candidate, evidence)
-        return 0
-
-    return step
-
-
-def census_step(rel, pool):
-    # full fan-out step: recurse on every pool element strictly below
-    pool = tuple(pool)
-
-    def step(x, rec):
-        return 1 + sum(
-            rec(other, e) for other in pool if (e := rel.decide(other, x)) is not None
-        )
-
-    return step
-
-
-def sorted_descending(rel, pool):
-    # pool listed so that each element's immediate predecessor comes first
-    pool = list(pool)
-    ranked = sorted(
-        pool, key=lambda x: sum(1 for y in pool if rel.decide(y, x) is not None)
-    )
-    return tuple(reversed(ranked))
-
-
-def test_criterion_01_recursion_equation_suite():
-    nat = nat_less()
-    started = time.time()
-    suite = []
-
-    suite.append(("nat <", nat, descending_chain_step(nat, range(60, -1, -1)), range(61)))
-    fib_step = lambda n, rec: n if n < 2 else (
-        rec(n - 1, nat_less_decide(n - 1, n)) + rec(n - 2, nat_less_decide(n - 2, n))
-    )
-    suite.append(("nat < (fibonacci)", nat, fib_step, range(21)))
-
-    divides = subrelation(
-        nat,
-        embed=lambda low, up, _e: nat_less_decide(low, up),
-        sub_decide=lambda low, up: (
-            EQUAL if low >= 1 and low != up and up % low == 0 else None
-        ),
-        carrier="properly-divides",
-    )
-    suite.append(
-        ("subrelation", divides, census_step(divides, range(1, 25)), range(1, 25))
-    )
-
-    bit_lists = [
-        tuple(bits)
-        for size in range(5)
-        for bits in itertools.product((0, 1), repeat=size)
-    ]
-    by_length = inverse_image(nat, len, carrier="len")
-    suite.append(
-        ("inverse image", by_length, census_step(by_length, bit_lists[:16]), bit_lists)
-    )
-
-    closure = transitive_closure(
-        WFRelation(
-            carrier="imm",
-            decide=lambda low, up: EQUAL if low + 1 == up else None,
-            predecessors=lambda up: ((up - 1, EQUAL),) if up > 0 else (),
-        )
-    )
-    suite.append(("transitive closure", closure, census_step(closure, range(12)), range(13)))
-
-    summed = disjoint_sum(nat, nat)
-    sum_pool = [Inl(i) for i in range(6)] + [Inr(i) for i in range(6)]
-    suite.append(("disjoint sum", summed, census_step(summed, sum_pool), sum_pool))
-
-    pairs = lex_product(nat, nat)
-    grid = [(a, b) for a in range(4) for b in range(4)]
-
-    def pascal_step(z, rec):
-        a, b = z
-        total = 1
-        if a > 0:
-            total += rec((a - 1, b), pairs.decide((a - 1, b), z))
-        if b > 0:
-            total += rec((a, b - 1), pairs.decide((a, b - 1), z))
-        return total
-
-    suite.append(("lex product", pairs, pascal_step, grid))
-
-    dependent = lex_family(nat, lambda _x: nat)
-    triangle = [(x, y) for x in range(4) for y in range(x + 1)]
-    suite.append(
-        ("lex family", dependent, census_step(dependent, triangle), triangle)
-    )
-
-    power = pow_relation(nat)
-    lists4 = all_descending_lists(4)
-    suite.append(("power", power, census_step(power, lists4), lists4))
-
-    trees = wtree_relation()
-    rng = random.Random(7)
-
-    def random_tree(depth):
-        if depth == 0 or rng.random() < 0.3:
-            return leaf(rng.randrange(5))
-        return WTree(
-            rng.randrange(5),
-            tuple(random_tree(depth - 1) for _ in range(rng.randrange(1, 4))),
-        )
-
-    tree_pool = [random_tree(4) for _ in range(40)] + [encode_nat(n) for n in range(8)]
-    height_step = lambda w, rec: 1 + max(
-        (rec(b, trees.decide(b, w)) for b in w.branches), default=0
-    )
-    suite.append(("wtree", trees, height_step, tree_pool))
-
-    stepped_rel = stepped_lex(nat)
-    tuples = [
-        stepped(*c) for size in range(3) for c in itertools.product(range(4), repeat=size)
-    ]
-    suite.append(
-        (
-            "stepped lex",
-            stepped_rel,
-            descending_chain_step(stepped_rel, sorted_descending(stepped_rel, tuples)),
-            tuples,
-        )
-    )
-
-    finfun = finfun_exp(nat, nat)
-    functions = [
-        finite_function(nat, list(zip(keys, values)))
-        for keys in ((), (0,), (1,), (1, 0))
-        for values in itertools.product(range(3), repeat=len(keys))
-    ]
-    suite.append(
-        (
-            "finfun exp",
-            finfun,
-            descending_chain_step(finfun, sorted_descending(finfun, functions)),
-            functions,
-        )
-    )
-
-    mrel = multiset_relation(nat)
-    multisets = all_multisets(range(3), 3)
-    suite.append(
-        (
-            "multiset",
-            mrel,
-            descending_chain_step(mrel, sorted_descending(mrel, multisets)),
-            multisets,
-        )
-    )
-
-    nested = nested_multiset_relation(nat, max_depth=5)
-    atom0, atom1 = nm_atom(0), nm_atom(1)
-    nested_pool = [
-        atom0,
-        atom1,
-        nm_empty(),
-        nm_singleton(atom0),
-        nm_singleton(atom1),
-        nm_union(nat, nm_singleton(atom0), nm_singleton(atom0)),
-        nm_union(nat, nm_singleton(atom1), nm_singleton(atom0)),
-        nm_singleton(nm_singleton(atom0)),
-        nm_singleton(nm_singleton(atom1)),
-        nm_union(nat, nm_singleton(nm_singleton(atom0)), nm_singleton(atom1)),
-        nm_singleton(nm_empty()),
-        nm_singleton(nm_union(nat, nm_singleton(atom1), nm_singleton(atom0))),
-    ]
-    suite.append(
-        (
-            "nested multiset",
-            nested,
-            descending_chain_step(nested, sorted_descending(nested, nested_pool)),
-            nested_pool,
-        )
-    )
-
-    failures = []
-    total_samples = 0
-    for name, rel, step, samples in suite:
-        report = check_recursion_equation(rel, step, samples)
-        total_samples += report.total
-        if not report.ok:
-            failures.append(f"{name}: {len(report.failures)}")
-    elapsed = time.time() - started
-    verdict(
-        "criterion 1: recursion equation across all constructors",
-        not failures and elapsed < 60,
-        f"12 constructors, {len(suite)} step suites, {total_samples} samples, {elapsed:.1f}s"
-        + (f"; failures: {failures}" if failures else ""),
-    )
-
-
-def test_criterion_02_uniqueness_discrimination():
-    nat = nat_less()
-    fib_step = lambda n, rec: n if n < 2 else (
-        rec(n - 1, nat_less_decide(n - 1, n)) + rec(n - 2, nat_less_decide(n - 2, n))
-    )
-    carrier = range(30)
-    table = {n: wfrec(nat, fib_step, n) for n in carrier}
-    accepted = check_unique_solution(nat, fib_step, table, carrier)
-    rejected = 0
-    for point in carrier:
-        perturbed = dict(table)
-        perturbed[point] += 1
-        if not check_unique_solution(nat, fib_step, perturbed, carrier):
-            rejected += 1
-    verdict(
-        "criterion 2: uniqueness discriminates every perturbation",
-        accepted and rejected == len(list(carrier)),
-        f"{rejected}/30 perturbations rejected",
-    )
-
-
-def test_criterion_03_quicksort():
-    rng = random.Random(33)
-    le = lambda a, b: a <= b
-    sorted_ok = 0
-    for _ in range(1000):
-        values = [rng.randrange(1000) for _ in range(rng.randrange(51))]
-        if quicksort(le, values) == tuple(sorted(values)):
-            sorted_ok += 1
-    equations_ok = 0
-    for _ in range(100):
-        items = tuple(rng.randrange(50) for _ in range(rng.randrange(1, 20)))
-        head, tail = items[0], items[1:]
-        front = filter_list(lambda b: le(b, head), tail)
-        back = filter_list(lambda b: not le(b, head), tail)
-        unfolded = append(quicksort(le, front), (head,) + quicksort(le, back))
-        if quicksort(le, items) == unfolded and quicksort(le, ()) == ():
-            equations_ok += 1
-    verdict(
-        "criterion 3: quicksort sorts and satisfies its unfoldings",
-        sorted_ok == 1000 and equations_ok == 100,
-        f"{sorted_ok}/1000 sorted, {equations_ok}/100 unfoldings",
-    )
-
-
-def test_criterion_04_power_rank_oracle():
-    power = pow_relation(nat_less())
-    lists = all_descending_lists(5)
-    assert len(lists) == 32
-    disagreements = 0
-    ordered_pairs = 0
-    for lower in lists:
-        for upper in lists:
-            if lower is upper:
-                continue
-            ordered_pairs += 1
-            if (power.decide(lower, upper) is not None) != (
-                pow_nat_rank(lower) < pow_nat_rank(upper)
-            ):
-                disagreements += 1
-    verdict(
-        "criterion 4: power order matches the binary rank",
-        disagreements == 0 and ordered_pairs >= 496,
-        f"32 lists, {ordered_pairs} ordered pairs, {disagreements} disagreements",
-    )
-
-
-def test_criterion_05_multiset_oracle():
-    nat = nat_less()
-    order = multiset_relation(nat)
-    multisets = all_multisets(range(4), 3)
-    disagreements = sum(
-        1
-        for lower in multisets
-        for upper in multisets
-        if (order.decide(lower, upper) is not None) != dm_oracle(lower, upper, nat)
-    )
-    verdict(
-        "criterion 5: multiset order matches the replacement oracle",
-        disagreements == 0,
-        f"{len(multisets)}^2 pairs, {disagreements} disagreements",
-    )
-
-
-def test_criterion_06_closure_vs_reachability():
-    rng = random.Random(6)
-    disagreements = 0
-    for _ in range(50):
-        size = rng.randrange(4, 9)
-        rel, edges = random_dag_relation(rng, size)
-        closure = transitive_closure(rel)
-
-        def reachable(low, up):
-            frontier, seen = [up], set()
-            while frontier:
-                node = frontier.pop()
-                for src, dst in edges:
-                    if dst == node and src not in seen:
-                        seen.add(src)
-                        frontier.append(src)
-            return low in seen
-
-        for low in range(size):
-            for up in range(size):
-                expected = low != up and reachable(low, up)
-                if (closure.decide(low, up) is not None) != expected:
-                    disagreements += 1
-    verdict(
-        "criterion 6: transitive closure matches BFS reachability",
-        disagreements == 0,
-        f"50 random relations, {disagreements} disagreements",
-    )
-
-
-def test_criterion_07_characterization():
-    nat = nat_less()
-    grid = [(a, b) for a in range(3) for b in range(3)]
-    relations = [
-        ("< on 0..5", nat, range(6)),
-        (
-            "lex on 3x3",
-            with_enumerated_predecessors(lex_product(nat, nat), grid),
-            grid,
-        ),
-    ]
-    rng = random.Random(2025)
-    dag, _edges = random_dag_relation(rng, 6)
-    relations.append(("random dag", dag, range(6)))
-    problems = []
-    for name, rel, elements in relations:
-        report = check_tree_embedding(rel, elements)
-        if not report.ok:
-            problems.append(name)
-    verdict(
-        "criterion 7: rank trees characterize each relation",
-        not problems,
-        "identity and subtree agreement on 3 relations"
-        + (f"; failed: {problems}" if problems else ""),
-    )
-
-
-def test_criterion_08_ordinal_cross_checks():
-    rng = random.Random(8)
-    nested_rel = nested_multiset_relation(empty_relation("unit"), max_depth=10)
-    nested_disagreements = 0
-    for _ in range(500):
-        a = random_notation(rng, 3)
-        b = random_notation(rng, 3)
-        direct = compare(a, b) is Ordering.LT
-        translated = nested_rel.decide(to_nested(a), to_nested(b)) is not None
-        if direct != translated or from_nested(to_nested(a)) != a:
-            nested_disagreements += 1
-
-    vector_disagreements = 0
-    notations = []
-    for coefficients in itertools.product(range(4), repeat=4):
-        terms = tuple(
-            (from_nat(exponent), coefficient)
-            for exponent, coefficient in zip((3, 2, 1, 0), coefficients)
-            if coefficient
-        )
-        notations.append((OrdinalNotation(terms), coefficients))
-    for (left, vec_left), (right, vec_right) in itertools.product(notations, repeat=2):
-        expected = (
-            Ordering.LT
-            if vec_left < vec_right
-            else Ordering.GT
-            if vec_left > vec_right
-            else Ordering.EQ
-        )
-        if compare(left, right) is not expected:
-            vector_disagreements += 1
-    verdict(
-        "criterion 8: ordinal comparison agrees with both oracles",
-        nested_disagreements == 0 and vector_disagreements == 0,
-        f"500 nested pairs, {len(notations)}^2 vector pairs",
-    )
-
-
-def test_criterion_09_descent_fuzzing():
-    runs = 0
-    exhausted = 0
-    over_bound = 0
-    for name in ("nat", "pow-nat", "multiset-nat", "ord"):
-        order = named_descent_order(name)
-        for seed in range(250):
-            start = order.sample_starts[seed % len(order.sample_starts)]
-            runs += 1
-            try:
-                chain = fuzz_descent(
-                    order.relation, start, max_steps=10000, seed=seed
-                )
-            except Exception:
-                exhausted += 1
-                continue
-            bound = order.descent_bound(start)
-            if bound is not None and len(chain) > bound:
-                over_bound += 1
-    verdict(
-        "criterion 9: seeded descents terminate within their bounds",
-        runs == 1000 and exhausted == 0 and over_bound == 0,
-        f"{runs} walks, {exhausted} exhausted, {over_bound} over bound",
-    )
-
-
-def test_criterion_10_ackermann_and_fibonacci():
-    ack_ok = all(
-        ackermann(m, n) == direct_ackermann(m, n)
-        for m in range(4)
-        for n in range(6)
-    )
-    fib_ok = all(fib(n) == iterative_fib(n) for n in range(31))
-    verdict(
-        "criterion 10: ackermann and fibonacci match their oracles",
-        ack_ok and fib_ok,
-        "m<=3, n<=5; fib n<=30",
-    )
-
-
-def test_criterion_11_numerals_as_trees():
-    closure = transitive_closure(wtree_relation())
-    disagreements = sum(
-        1
-        for low in range(7)
-        for up in range(7)
-        if (closure.decide(encode_nat(low), encode_nat(up)) is not None) != (low < up)
-    )
-    verdict(
-        "criterion 11: numeral subtree closure is exactly <",
-        disagreements == 0,
-        f"49 pairs, {disagreements} disagreements",
-    )
+    print(f"{status} {name} ({problem or 'no failure'}, {elapsed:.1f}s)")
+    assert ok, f"{name}: {problem or f'took {elapsed:.0f}s'}"

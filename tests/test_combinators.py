@@ -29,33 +29,15 @@ from wellfounded import (
     validated_evidence,
     wfrec,
 )
+from wellfounded import combinators
+from wellfounded.checks import (
+    PROPERTIES,
+    census_step,
+    edge_reachable,
+    properly_divides,
+    random_dag,
+)
 from wellfounded.combinators import ChainEvidence, single_step
-
-from conftest import random_dag_relation
-
-
-def properly_divides():
-    return subrelation(
-        nat_less(),
-        embed=lambda low, up, _e: nat_less_decide(low, up),
-        sub_decide=lambda low, up: (
-            EQUAL if low >= 1 and low != up and up % low == 0 else None
-        ),
-        carrier="properly-divides",
-    )
-
-
-def census_step(rel, pool):
-    pool = tuple(pool)
-
-    def step(x, rec):
-        return 1 + sum(
-            rec(other, e)
-            for other in pool
-            if (e := rel.decide(other, x)) is not None
-        )
-
-    return step
 
 
 class TestSubrelation:
@@ -187,16 +169,30 @@ class TestTransitiveClosure:
 
     def test_bfs_oracle_on_random_relations(self, rng):
         for _ in range(15):
-            rel, edges = random_dag_relation(rng, 7)
+            rel, edges = random_dag(rng, 7)
             closure = transitive_closure(rel)
             for low in range(7):
                 for up in range(7):
-                    expected = low != up and refl_trans_reachable(rel, low, up)
+                    expected = edge_reachable(edges, low, up)
                     got = closure.decide(low, up)
                     assert (got is not None) == expected
                     if got is not None:
                         assert validate_chain(rel, got)
                         assert got.lower == low and got.upper == up
+
+    def test_battery_catches_a_search_that_stops_at_one_link(self, monkeypatch):
+        search = combinators._search_chain
+
+        def one_link(base, lower, upper):
+            chain = search(base, lower, upper)
+            return chain if chain is not None and len(chain) == 1 else None
+
+        monkeypatch.setattr(combinators, "_search_chain", one_link)
+        _name, check, small, full = next(
+            entry for entry in PROPERTIES if entry[0] == "closure-reachability"
+        )
+        assert check(0, **small) is not None
+        assert check(**full) is not None
 
     @given(
         st.integers(0, 10**6),
@@ -204,7 +200,7 @@ class TestTransitiveClosure:
         st.sampled_from([0.15, 0.3, 0.5]),
     )
     def test_chain_search_against_bfs_over_decide(self, seed, size, density):
-        rel, _edges = random_dag_relation(random.Random(seed), size, density)
+        rel, _edges = random_dag(random.Random(seed), size, density)
         closure = transitive_closure(rel)
         for upper in range(size):
             # independent oracle: breadth-first over decide on all pairs
@@ -300,7 +296,7 @@ class TestFinitePowers:
 
     def test_path_enumeration_oracle(self, rng):
         for _ in range(10):
-            rel, edges = random_dag_relation(rng, 6)
+            rel, edges = random_dag(rng, 6)
 
             def paths(low, up, steps):
                 if steps == 0:
@@ -319,7 +315,7 @@ class TestFinitePowers:
 
 class TestReflTransReachable:
     def test_reflexive(self):
-        rel, _ = random_dag_relation(random.Random(5), 4)
+        rel, _ = random_dag(random.Random(5), 4)
         assert refl_trans_reachable(rel, 2, 2)
 
     def test_single_edge(self):
@@ -332,7 +328,7 @@ class TestReflTransReachable:
         assert not refl_trans_reachable(edge, 1, 0)
 
     def test_agrees_with_equality_or_closure(self, rng):
-        rel, _ = random_dag_relation(rng, 6)
+        rel, _ = random_dag(rng, 6)
         closure = transitive_closure(rel)
         for low in range(6):
             for up in range(6):

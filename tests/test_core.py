@@ -18,15 +18,8 @@ from wellfounded import (
     validated_evidence,
     wfrec,
 )
+from wellfounded.checks import direct_ackermann, fib_step, iterative_fib
 from wellfounded.combinators import lex_first, lex_product, lex_second
-
-from conftest import direct_ackermann, iterative_fib
-
-
-def fib_step(n, rec):
-    if n < 2:
-        return n
-    return rec(n - 1, nat_less_decide(n - 1, n)) + rec(n - 2, nat_less_decide(n - 2, n))
 
 
 def ackermann_step(pair, rec):

@@ -15,6 +15,7 @@ from wellfounded import (
     validated_evidence,
     wfrec,
 )
+from wellfounded.checks import direct_ackermann, iterative_fib
 from wellfounded.demos import (
     append,
     filter_below_cons,
@@ -22,8 +23,6 @@ from wellfounded.demos import (
     length,
     list_length_order,
 )
-
-from conftest import direct_ackermann, iterative_fib
 
 
 class TestListBasics:

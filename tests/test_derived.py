@@ -30,24 +30,15 @@ from wellfounded import (
     subrelation,
     unification_ordering,
 )
+from wellfounded.checks import (
+    _MULTISET_SIZE_CAP,
+    _capped_multiset_count,
+    all_multisets,
+    descending_chain_step,
+)
 from wellfounded.derived import SteppedTuple, lift_payload
 
-from conftest import all_multisets
-
 NAT = nat_less()
-
-
-def chain_step(rel, pool):
-    pool = tuple(pool)
-
-    def step(x, rec):
-        for other in pool:
-            evidence = rel.decide(other, x)
-            if evidence is not None:
-                return 1 + rec(other, evidence)
-        return 0
-
-    return step
 
 
 class TestSteppedLex:
@@ -86,7 +77,9 @@ class TestSteppedLex:
             for size in range(3)
             for components in itertools.product(range(3), repeat=size)
         ]
-        report = check_recursion_equation(order, chain_step(order, tuples), tuples)
+        report = check_recursion_equation(
+            order, descending_chain_step(order, tuples), tuples
+        )
         assert report.ok
 
 
@@ -121,7 +114,7 @@ class TestFiniteFunctions:
             for values in itertools.product(range(2), repeat=len(keys))
         ]
         report = check_recursion_equation(
-            order, chain_step(order, functions), functions
+            order, descending_chain_step(order, functions), functions
         )
         assert report.ok
 
@@ -174,9 +167,20 @@ class TestMultisets:
         order = multiset_relation(NAT)
         multisets = all_multisets(range(3), 2)
         report = check_recursion_equation(
-            order, chain_step(order, multisets), multisets
+            order, descending_chain_step(order, multisets), multisets
         )
         assert report.ok
+
+    def test_capped_walk_count_matches_the_enumeration(self):
+        # the descent bound of the multiset-nat walk, in closed form
+        for max_key in range(12):
+            keys = range(max_key + 1)
+            enumerated = sum(
+                1
+                for size in range(_MULTISET_SIZE_CAP + 1)
+                for _combo in itertools.combinations_with_replacement(keys, size)
+            )
+            assert _capped_multiset_count(max_key) == enumerated
 
 
 class TestNestedMultisets:
@@ -230,7 +234,9 @@ class TestNestedMultisets:
             nm_singleton(nm_singleton(atom)),
             nm_union(NAT, nm_singleton(nm_singleton(atom)), nm_singleton(nm_atom(1))),
         ]
-        report = check_recursion_equation(order, chain_step(order, values), values)
+        report = check_recursion_equation(
+            order, descending_chain_step(order, values), values
+        )
         assert report.ok and report.total == len(values)
 
 

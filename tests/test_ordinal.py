@@ -21,16 +21,6 @@ from wellfounded.checks import random_notation
 from wellfounded.ordinal import ONE, add, from_nat, normalize, omega_power
 
 
-def vector_below_omega_omega(o: OrdinalNotation, width: int) -> tuple:
-    # coefficient vector (c_{width-1}, ..., c_0) for notations below w^width
-    vector = [0] * width
-    for exponent, coefficient in o.terms:
-        assert len(exponent.terms) <= 1
-        position = exponent.terms[0][1] if exponent.terms else 0
-        vector[width - 1 - position] = coefficient
-    return tuple(vector)
-
-
 class TestCompare:
     def test_omega_below_omega_to_omega(self):
         assert compare(parse_ordinal("w"), parse_ordinal("w^w")) is Ordering.LT

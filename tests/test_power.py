@@ -23,8 +23,7 @@ from wellfounded import (
     validate_chain,
     wfrec,
 )
-
-from conftest import all_descending_lists
+from wellfounded.checks import all_descending_lists
 
 NAT = nat_less()
 

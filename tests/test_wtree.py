@@ -24,10 +24,8 @@ from wellfounded import (
     with_enumerated_predecessors,
     wtree_relation,
 )
-
+from wellfounded.checks import random_dag
 from wellfounded.wtree import NatLabel
-
-from conftest import random_dag_relation
 
 
 def random_tree(rng: random.Random, depth: int) -> WTree:
@@ -203,6 +201,11 @@ class TestNatEncoding:
             assert hash(a) == hash(generated(a))
             for b in trees:
                 assert (a == b) == (generated(a) == generated(b))
+        # new trees over subtrees hashed above, one of them twice
+        for a, b in zip(trees, reversed(trees)):
+            for tree in (WTree(2, (a, b, a)), WTree(3, (WTree(2, (b,)), a))):
+                assert hash(tree) == hash(generated(tree))
+                assert tree == WTree(tree.label, tree.branches)
 
     def test_zero_is_a_leaf(self):
         assert encode_nat(0).branches == ()
@@ -252,7 +255,7 @@ class TestPredecessorTrees:
         assert report.ok and report.pairs == 81
 
     def test_embedding_on_random_dag(self, rng):
-        rel, _ = random_dag_relation(rng, 6)
+        rel, _ = random_dag(rng, 6)
         report = check_tree_embedding(rel, range(6))
         assert report.ok
 
