@@ -786,7 +786,7 @@ def named_descent_order(name: str) -> NamedOrder:
             carrier="multiset(nat), bounded walk",
             decide=mrel.decide,
             predecessors=_bounded_multiset_predecessors,
-            recursor=mrel.wfrec,
+            recursor=mrel.recursor,
         )
 
         def parse_multiset(text):

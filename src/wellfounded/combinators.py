@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .core import (
+    _MISS,
     EQUAL,
     EqualWitness,
     EvidenceError,
@@ -206,14 +207,14 @@ def transitive_closure(base: WFRelation) -> WFRelation:
     name = f"closure({base.carrier})"
 
     def decide(lower, upper):
+        if base.predecessors is not None:
+            return _search_chain(base, lower, upper)
         direct = base.decide(lower, upper)
-        if direct is not None and base.predecessors is None:
-            return single_step(lower, upper, direct)
-        if base.predecessors is None:
+        if direct is None:
             raise UndecidableError(
                 f"{name}: undecidable without predecessor enumeration"
             )
-        return _search_chain(base, lower, upper)
+        return single_step(lower, upper, direct)
 
     def predecessors(upper):
         # breadth-first, with the frontier list read as a queue
@@ -233,6 +234,9 @@ def transitive_closure(base: WFRelation) -> WFRelation:
         def s(x, ih):
             # ih(y, base_evidence) is the chain handler below y
             def handle(x_next, chain):
+                value = step.recall(x_next)  # the value needs no chain walk
+                if value is not _MISS:
+                    return value
                 case = split_chain(chain)
                 if isinstance(case, ChainSingle):
                     return step(x_next, ih(x_next, case.evidence))

@@ -12,9 +12,12 @@ inspects them; turning on validation (``set_evidence_validation``) makes
 every recursive call re-check its evidence against ``decide``.
 
 All recursion runs through one evaluator.  It memoizes step values per
-call, so steps must be deterministic, as the recursion equation already
-requires.  Its depth budget (env ``WFREC_DEPTH``) is shared by evaluators
-nested inside each other, such as the columns of a lexicographic order.
+top-level call, for composed relations too, so every relation runs the
+step at most once per element, and it frees the memo when the call
+returns; steps must be deterministic, as the recursion equation already
+requires.  Its depth budget (env ``WFREC_DEPTH``) counts every step and is
+shared by evaluators nested inside each other, such as the columns of a
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -127,19 +130,34 @@ class WFRelation:
         return f"WFRelation({self.carrier})"
 
 
-_threads = threading.local()  # per thread: depth of the innermost running step
+_threads = threading.local()  # per thread: the innermost running frame and step
+_MISS = object()  # what a memo lookup yields for an element it has not seen
 
 
 def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
-    # The recursion evaluator: through ``recursor`` when the relation has
-    # one, else by unfolding the recursion equation with a memo per call.
-    # A call runs one below the deeper of its caller and the innermost step
-    # still running, so nested evaluators draw on one budget.
+    # The recursion evaluator.  Without a recursor it unfolds the recursion
+    # equation; with one, it hands the recursor the step wrapped with this
+    # evaluation's memo, so that every relation runs the step at most once
+    # per element.  The memo is freed when the evaluation returns.
+    #
+    # The depth budget is shared through the per-thread ``running`` list:
+    # the depth of the innermost running frame, and the depth and element
+    # of the innermost running wrapped step.  A frame runs one below the
+    # deeper of its caller and the running frame.  A wrapped step runs one
+    # below the running step, but not above the running frame, which may
+    # already be its own level (a lex column's); the same element seen
+    # through a second wrapper is the same step.
     budget = recursion_budget()
     frames = min(8 * budget + 500, _STACK_FRAME_CEILING)  # a few per level
     sys.setrecursionlimit(max(sys.getrecursionlimit(), frames))
-    running = _threads.__dict__.setdefault("running", [-1])
+    running = _threads.__dict__.setdefault("running", [-1, -1, _MISS])
     memo: dict = {}
+
+    def recall(x):
+        try:
+            return memo.get(x, _MISS)
+        except TypeError:  # unhashable: stepped without the memo
+            return _MISS
 
     def call(x, depth):
         try:
@@ -167,14 +185,41 @@ def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
             pass
         return value
 
+    def memoized(x, rec):
+        try:
+            if x in memo:
+                return memo[x]
+        except TypeError:
+            pass
+        frame, level, element = running
+        depth = level if x is element else level + 1
+        if frame > depth:
+            depth = frame
+        if depth > budget:
+            raise _budget_error(budget)
+        running[0] = running[1] = depth
+        running[2] = x
+        try:
+            value = step(x, rec)
+        finally:
+            running[0], running[1], running[2] = frame, level, element
+        try:
+            memo[x] = value
+        except TypeError:
+            pass
+        return value
+
+    memoized.recall = recall
     try:
         if recursor is not None:
-            return recursor(step, a)
+            return recursor(memoized, a)
         return call(a, 0)
     except RecursionError:
         raise RecursionBudgetError(
             f"Python stack exhausted before the depth budget of {budget} ran out"
         ) from None
+    finally:
+        memo.clear()
 
 
 def _budget_error(budget: int) -> RecursionBudgetError:

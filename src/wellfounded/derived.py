@@ -193,7 +193,7 @@ def multiset_relation(rel: WFRelation) -> WFRelation:
     return WFRelation(
         carrier=f"multiset({rel.carrier})",
         decide=base.decide,
-        recursor=base.wfrec,
+        recursor=base.recursor,
     )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
-from .core import EvidenceError, UndecidableError, WFRelation
+from .core import _MISS, EvidenceError, UndecidableError, WFRelation
 from .combinators import ChainEvidence, first_visit, single_step, transitive_closure
 
 
@@ -248,6 +248,9 @@ def pow_relation(rel: WFRelation) -> WFRelation:
             def append_handler(prefix, below_prefix):
                 def with_cert(cert):
                     def handle(lower: DescendingList, lex_evidence):
+                        value = step.recall(lower)
+                        if value is not _MISS:
+                            return value
                         case = below_append_cases(
                             lower.elements, prefix, (x,), lex_evidence
                         )

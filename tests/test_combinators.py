@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,13 +16,17 @@ from wellfounded import (
     UndecidableError,
     WFRelation,
     check_recursion_equation,
+    descending,
     disjoint_sum,
     finite_power_decide,
     inverse_image,
     lex_family,
     lex_product,
+    multiset_of,
+    multiset_relation,
     nat_less,
     nat_less_decide,
+    pow_relation,
     refl_trans_reachable,
     split_chain,
     subrelation,
@@ -32,12 +38,14 @@ from wellfounded import (
 from wellfounded import combinators
 from wellfounded.checks import (
     PROPERTIES,
+    all_descending_lists,
+    all_multisets,
     census_step,
     edge_reachable,
     properly_divides,
     random_dag,
 )
-from wellfounded.combinators import ChainEvidence, single_step
+from wellfounded.combinators import ChainEvidence, lex_second, single_step
 
 
 class TestSubrelation:
@@ -444,3 +452,125 @@ class TestLexicographic:
             from wellfounded.combinators import LexEvidence
 
             LexEvidence(on_first=EQUAL, equal=EQUAL, on_second=EQUAL)
+
+
+def _successor():
+    return WFRelation(
+        carrier="succ",
+        decide=lambda low, up: EQUAL if low + 1 == up else None,
+        predecessors=lambda up: ((up - 1, EQUAL),) if up > 0 else (),
+    )
+
+
+def _bit_lists():
+    return [
+        tuple(bits) for size in range(4) for bits in itertools.product((0, 1), repeat=size)
+    ]
+
+
+# construction -> (relation, pool, top); every pool element at or below top
+CENSUS_CASES = {
+    "closure": lambda: (transitive_closure(_successor()), range(10), 9),
+    "pow": lambda: (
+        pow_relation(nat_less()),
+        all_descending_lists(4),
+        descending(nat_less(), (3, 2, 1, 0)),
+    ),
+    "lex": lambda: (
+        lex_product(nat_less(), nat_less()),
+        list(itertools.product(range(4), repeat=2)),
+        (3, 3),
+    ),
+    "lex-family": lambda: (
+        lex_family(nat_less(), lambda _x: nat_less()),
+        [(x, y) for x in range(5) for y in range(x + 1)],
+        (4, 4),
+    ),
+    "sum": lambda: (
+        disjoint_sum(nat_less(), nat_less()),
+        [Inl(i) for i in range(5)] + [Inr(i) for i in range(5)],
+        Inr(4),
+    ),
+    "inverse-image": lambda: (
+        inverse_image(nat_less(), len),
+        _bit_lists(),
+        (1, 1, 1),
+    ),
+    "subrelation": lambda: (properly_divides(), range(1, 13), 12),
+    "multiset": lambda: (
+        multiset_relation(nat_less()),
+        all_multisets(range(3), 2),
+        multiset_of(nat_less(), (2, 2)),
+    ),
+}
+
+
+def census_by_decide(rel, pool, top):
+    """The census value at ``top`` and the elements it reaches, by a memoized
+    recurrence over ``decide`` that makes no use of ``wfrec``."""
+    values = {}
+
+    def value(x):
+        if x not in values:
+            values[x] = 1 + sum(
+                value(y) for y in pool if rel.decide(y, x) is not None
+            )
+        return values[x]
+
+    return value(top), set(values)
+
+
+class TestOneStepPerElement:
+    @pytest.mark.parametrize("name", sorted(CENSUS_CASES))
+    def test_census_steps_once_per_element(self, name):
+        rel, pool, top = CENSUS_CASES[name]()
+        census, calls = census_step(rel, pool), []
+
+        def counted(x, rec):
+            calls.append(x)
+            return census(x, rec)
+
+        expected, reached = census_by_decide(rel, pool, top)
+        assert wfrec(rel, counted, top) == expected
+        assert len(calls) == len(reached) and set(calls) == reached
+
+    @pytest.mark.parametrize("name", sorted(CENSUS_CASES))
+    def test_step_values_are_freed_on_return(self, name):
+        rel, pool, top = CENSUS_CASES[name]()
+        watched = []
+
+        class Tally:
+            def __init__(self, count):
+                self.count = count
+
+        def step(x, rec):
+            below = (rec(y, e) for y in pool if (e := rel.decide(y, x)) is not None)
+            tally = Tally(1 + sum(t.count for t in below))
+            watched.append(weakref.ref(tally))
+            return tally
+
+        gc.disable()  # no cycle collection: only the evaluator can let go
+        try:
+            result = wfrec(rel, step, top)
+            alive = [ref() for ref in watched if ref() is not None]
+        finally:
+            gc.enable()
+        assert alive == [result] and len(watched) > 1
+
+    def test_memo_hit_through_lex_still_checks_evidence(self):
+        pairs = lex_product(nat_less(), nat_less())
+
+        def step(pair, rec):
+            if pair == (1, 1):
+                return rec((1, 0), lex_second(nat_less_decide(0, 1))) + rec(
+                    (0, 5), pairs.decide((0, 5), (1, 1))
+                )
+            if pair == (0, 5):
+                # up to (1, 0), already in the memo but not below (0, 5)
+                return rec((1, 0), lex_second(nat_less_decide(4, 5)))
+            return 1
+
+        assert wfrec(pairs, step, (1, 1)) == 2
+        with validated_evidence():
+            with pytest.raises(EvidenceError):
+                wfrec(pairs, step, (1, 1))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,7 +21,13 @@ from wellfounded import (
     wfrec,
 )
 from wellfounded.checks import direct_ackermann, fib_step, iterative_fib
-from wellfounded.combinators import lex_first, lex_product, lex_second
+from wellfounded.combinators import (
+    lex_first,
+    lex_product,
+    lex_second,
+    single_step,
+    transitive_closure,
+)
 
 
 def ackermann_step(pair, rec):
@@ -92,6 +100,23 @@ class TestEvaluator:
         with pytest.raises(RecursionBudgetError):
             wfrec(order, step, (1, 30))  # 30 + 1 + 30 levels
         assert wfrec(order, step, (1, 15)) == 46  # 15 + 1 + 30 levels
+
+    def test_budget_counts_steps_under_the_closure(self, monkeypatch):
+        # the closure runs the step outside the lex evaluator's frames
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        order = transitive_closure(lex_product(nat_less(), nat_less()))
+        inner = column_then_drop(30)
+
+        def step(pair, rec):
+            return inner(pair, lambda lower, e: rec(lower, single_step(lower, pair, e)))
+
+        with pytest.raises(RecursionBudgetError):
+            wfrec(order, step, (1, 30))  # 30 + 1 + 30 levels
+        assert wfrec(order, step, (1, 15)) == 46
+        # a recursor that is another relation's wfrec wraps each step
+        # twice, and still charges it once
+        rewrapped = replace(order, recursor=order.wfrec)
+        assert wfrec(rewrapped, step, (1, 15)) == 46
 
     def test_stack_exhaustion_is_a_budget_error(self, monkeypatch):
         # a budget beyond what the Python stack holds

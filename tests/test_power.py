@@ -6,6 +6,7 @@ from wellfounded import (
     BelowSplit,
     DescendingList,
     EvidenceError,
+    RecursionBudgetError,
     below_append_cases,
     check_recursion_equation,
     descending,
@@ -274,6 +275,25 @@ class TestPowRelation:
 
         top = descending(NAT, (3, 2, 1, 0))
         assert wfrec(power, cardinality, top) == 2 ** 15
+
+    def test_budget_counts_every_step(self, monkeypatch):
+        # each call drops one binary rank: rank r is r levels deep
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        power = pow_relation(NAT)
+
+        def of_rank(rank):
+            return descending(NAT, [e for e in range(12, -1, -1) if rank >> e & 1])
+
+        def drop(z, rec):
+            rank = pow_nat_rank(z)
+            if rank == 0:
+                return 0
+            lower = of_rank(rank - 1)
+            return 1 + rec(lower, power.decide(lower, z))
+
+        with pytest.raises(RecursionBudgetError):
+            wfrec(power, drop, of_rank(64))
+        assert wfrec(power, drop, of_rank(40)) == 40
 
     def test_predecessors_cover_exactly_the_lists_below(self):
         power = pow_relation(NAT)
