@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .core import (
@@ -531,20 +531,30 @@ def _check_tree_characterization(
     )
 
 
-def _check_ordinals(
-    seed: int, pairs: int, coefficients: int, width: int
-) -> Optional[str]:
-    rng = random.Random(seed)
-    nested = nested_multiset_relation(empty_relation("unit"), max_depth=10)
+def ordinal_disagreements(rng: random.Random, pairs: int, depth: int):
+    """Compare random notation pairs directly and as nested multisets.
+
+    Yields one line per failed round trip through ``to_nested`` and one per
+    pair whose direct comparison disagrees with the nested-multiset order.
+    """
+    nested = nested_multiset_relation(empty_relation("unit"), max_depth=4 + 2 * depth)
     for _ in range(pairs):
-        a = random_notation(rng, 3)
-        b = random_notation(rng, 3)
+        a = random_notation(rng, depth)
+        b = random_notation(rng, depth)
         if from_nested(to_nested(a)) != a:
-            return f"round trip failed on {format_ordinal(a)}"
+            yield f"round trip failed on {format_ordinal(a)}"
         direct = compare(a, b) is Ordering.LT
         via_nested = nested.decide(to_nested(a), to_nested(b)) is not None
         if direct != via_nested:
-            return f"nested comparison differs on {format_ordinal(a)} vs {format_ordinal(b)}"
+            yield f"nested comparison differs on {format_ordinal(a)} vs {format_ordinal(b)}"
+
+
+def _check_ordinals(
+    seed: int, pairs: int, coefficients: int, width: int
+) -> Optional[str]:
+    problem = next(ordinal_disagreements(random.Random(seed), pairs, 3), None)
+    if problem:
+        return problem
     # below w^width, a notation is its vector of coefficients
     vectors = {}
     exponents = [ord_mod.from_nat(e) for e in range(width - 1, -1, -1)]
@@ -705,14 +715,10 @@ _MULTISET_SIZE_CAP = 5
 def _bounded_multiset_predecessors(upper: Multiset):
     # enumeration capped at total size 5 over the keys reachable below the
     # current maximum; complete only within that bound
-    mrel = multiset_relation(nat_less())
     max_key = max((key for key, _count in upper.entries), default=0)
-    found = []
-    for candidate in all_multisets(range(max_key + 1), _MULTISET_SIZE_CAP):
-        evidence = mrel.decide(candidate, upper)
-        if evidence is not None:
-            found.append((candidate, evidence))
-    return tuple(found)
+    pool = all_multisets(range(max_key + 1), _MULTISET_SIZE_CAP)
+    mrel = multiset_relation(nat_less())
+    return with_enumerated_predecessors(mrel, pool).predecessors(upper)
 
 
 def _capped_multiset_count(max_key: int) -> int:
@@ -782,11 +788,10 @@ def named_descent_order(name: str) -> NamedOrder:
         )
     if name == "multiset-nat":
         mrel = multiset_relation(nat)
-        bounded = WFRelation(
+        bounded = replace(
+            mrel,
             carrier="multiset(nat), bounded walk",
-            decide=mrel.decide,
             predecessors=_bounded_multiset_predecessors,
-            recursor=mrel.recursor,
         )
 
         def parse_multiset(text):

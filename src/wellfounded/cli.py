@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .core import (
     EvidenceError,
@@ -34,59 +33,51 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 
 
-@dataclass
-class CliConfig:
-    seed: int = 0
-    max_steps: int = 10000
-    json_output: bool = False
-    depth_limit: int = 64
-
-
-def _emit(config: CliConfig, payload: dict, text: str) -> None:
-    if config.json_output:
+def _emit(args, payload: dict, text: str) -> None:
+    if args.json:
         print(json.dumps(payload))
     else:
         print(text)
 
 
-def _fail(config: CliConfig, message: str, code: int) -> int:
-    if config.json_output:
+def _fail(args, message: str, code: int) -> int:
+    if args.json:
         print(json.dumps({"error": message}))
     else:
         print(f"error: {message}", file=sys.stderr)
     return code
 
 
-def _cmd_ord(config: CliConfig, args) -> int:
+def _cmd_ord(args) -> int:
     try:
         if args.action == "compare":
-            left = parse_ordinal(args.left, depth_limit=config.depth_limit)
-            right = parse_ordinal(args.right, depth_limit=config.depth_limit)
+            left = parse_ordinal(args.left, depth_limit=args.depth_limit)
+            right = parse_ordinal(args.right, depth_limit=args.depth_limit)
             outcome = compare(left, right).value
-            _emit(config, {"result": outcome}, outcome)
+            _emit(args, {"result": outcome}, outcome)
         else:
             canonical = format_ordinal(
-                parse_ordinal(args.left, depth_limit=config.depth_limit)
+                parse_ordinal(args.left, depth_limit=args.depth_limit)
             )
-            _emit(config, {"result": canonical}, canonical)
+            _emit(args, {"result": canonical}, canonical)
     except ParseError as error:
-        return _fail(config, str(error), EXIT_PARSE)
+        return _fail(args, str(error), EXIT_PARSE)
     return EXIT_OK
 
 
-def _cmd_pow(config: CliConfig, args) -> int:
+def _cmd_pow(args) -> int:
     nat = nat_less()
     power = pow_relation(nat)
     try:
         first = parse_nat_list(args.left)
         second = parse_nat_list(args.right)
     except ValueError as error:
-        return _fail(config, str(error), EXIT_PARSE)
+        return _fail(args, str(error), EXIT_PARSE)
     try:
         lower = descending(nat, first)
         upper = descending(nat, second)
     except EvidenceError as error:
-        return _fail(config, str(error), EXIT_INVARIANT)
+        return _fail(args, str(error), EXIT_INVARIANT)
     if lower == upper:
         outcome = "EQ"
     elif power.decide(lower, upper) is not None:
@@ -95,57 +86,57 @@ def _cmd_pow(config: CliConfig, args) -> int:
         outcome = "GT"
     else:
         outcome = "INCOMPARABLE"
-    _emit(config, {"result": outcome}, outcome)
+    _emit(args, {"result": outcome}, outcome)
     return EXIT_OK
 
 
-def _cmd_chain(config: CliConfig, args) -> int:
+def _cmd_chain(args) -> int:
     try:
         order = named_descent_order(args.order)
     except ValueError as error:
-        return _fail(config, str(error), EXIT_PARSE)
+        return _fail(args, str(error), EXIT_PARSE)
     try:
         start = order.parse_start(args.start)
     except (ParseError, ValueError) as error:
-        return _fail(config, str(error), EXIT_PARSE)
+        return _fail(args, str(error), EXIT_PARSE)
     except IncomparableError as error:
-        return _fail(config, str(error), EXIT_INVARIANT)
+        return _fail(args, str(error), EXIT_INVARIANT)
     chain = fuzz_descent(
-        order.relation, start, max_steps=config.max_steps, seed=config.seed
+        order.relation, start, max_steps=args.max_steps, seed=args.seed
     )
     described = [order.describe(element) for element in chain]
     _emit(
-        config,
+        args,
         {"chain": described, "length": len(chain)},
         "\n".join(described) + f"\nlength {len(chain)}",
     )
     return EXIT_OK
 
 
-def _cmd_demo(config: CliConfig, args) -> int:
+def _cmd_demo(args) -> int:
     try:
         if args.program == "quicksort":
             values = parse_nat_list(args.values[0])
             result = ",".join(
                 str(v) for v in quicksort(lambda a, b: a <= b, values)
             )
-            _emit(config, {"result": result}, result)
+            _emit(args, {"result": result}, result)
         elif args.program == "ackermann":
             m, n = (int(v) for v in args.values)
             value = ackermann(m, n)
-            _emit(config, {"result": value}, str(value))
+            _emit(args, {"result": value}, str(value))
         else:
             value = fib(int(args.values[0]))
-            _emit(config, {"result": value}, str(value))
+            _emit(args, {"result": value}, str(value))
     except (ValueError, IndexError) as error:
-        return _fail(config, f"bad demo arguments: {error}", EXIT_PARSE)
+        return _fail(args, f"bad demo arguments: {error}", EXIT_PARSE)
     return EXIT_OK
 
 
-def _cmd_check(config: CliConfig, _args) -> int:
-    results = run_all(seed=config.seed)
+def _cmd_check(args) -> int:
+    results = run_all(seed=args.seed)
     all_ok = all(result.ok for result in results)
-    if config.json_output:
+    if args.json:
         payload = {
             "ok": all_ok,
             "results": [
@@ -217,16 +208,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = CliConfig(
-        seed=getattr(args, "seed", 0),
-        max_steps=getattr(args, "max_steps", 10000),
-        json_output=args.json,
-        depth_limit=args.depth_limit,
-    )
     try:
-        return _HANDLERS[args.command](config, args)
+        return _HANDLERS[args.command](args)
     except WellFoundedError as error:
-        return _fail(config, str(error), EXIT_FAILURE)
+        return _fail(args, str(error), EXIT_FAILURE)
 
 
 if __name__ == "__main__":

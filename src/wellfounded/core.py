@@ -8,8 +8,8 @@ present evidence for every recursive call; evaluation always terminates
 when the relation is genuinely well-founded.
 
 Evidence values are ordinary data.  In release mode recursion never
-inspects them; turning on validation (``set_evidence_validation``) makes
-every recursive call re-check its evidence against ``decide``.
+inspects them; inside ``with validated_evidence():`` every recursive call
+re-checks its evidence against ``decide``.
 
 All recursion runs through one evaluator.  It memoizes step values per
 top-level call, for composed relations too, so every relation runs the
@@ -85,25 +85,19 @@ def recursion_budget() -> int:
 _VALIDATE_EVIDENCE = False
 
 
-def set_evidence_validation(enabled: bool) -> bool:
-    """Toggle evidence re-checking on recursive calls; returns the old flag."""
-    global _VALIDATE_EVIDENCE
-    previous = _VALIDATE_EVIDENCE
-    _VALIDATE_EVIDENCE = bool(enabled)
-    return previous
-
-
 def evidence_validation_enabled() -> bool:
     return _VALIDATE_EVIDENCE
 
 
 @contextmanager
-def validated_evidence(enabled: bool = True):
-    previous = set_evidence_validation(enabled)
+def validated_evidence():
+    """Re-check the evidence of every recursive call inside the block."""
+    global _VALIDATE_EVIDENCE
+    previous, _VALIDATE_EVIDENCE = _VALIDATE_EVIDENCE, True
     try:
         yield
     finally:
-        set_evidence_validation(previous)
+        _VALIDATE_EVIDENCE = previous
 
 
 @dataclass(frozen=True)

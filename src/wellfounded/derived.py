@@ -214,9 +214,8 @@ def dm_oracle(lower: Multiset, upper: Multiset, rel: WFRelation, budget: int = 2
         return False
     size_cap = len(target) + len(start)
     seen = {start}
-    frontier = [start]
-    while frontier:
-        state = frontier.pop(0)
+    frontier = [start]  # read as a queue while it grows
+    for state in frontier:
         for position in range(len(state)):
             if position > 0 and state[position] == state[position - 1]:
                 continue  # identical occurrence, same successors
@@ -302,28 +301,13 @@ def nm_union(rel: WFRelation, a: NestedMultiset, b: NestedMultiset) -> NestedMul
     if a.depth == 0 or b.depth == 0:
         raise ValueError("union is defined on multisets, not atoms")
     depth = max(a.depth, b.depth)
-    member_order = level_relation(rel, depth - 1)
-    merged: list = []
-    for source in (a, b):
-        for key, count in source.payload.value.entries:
-            lifted = lift_payload(key, depth - source.depth)
-            position = 0
-            while position < len(merged):
-                existing, existing_count = merged[position]
-                if lifted == existing:
-                    merged[position] = (existing, existing_count + count)
-                    break
-                if member_order.decide(existing, lifted) is not None:
-                    merged.insert(position, (lifted, count))
-                    break
-                if member_order.decide(lifted, existing) is None:
-                    raise IncomparableError(
-                        "union members are unrelated at the shared layer"
-                    )
-                position += 1
-            else:
-                merged.append((lifted, count))
-    return NestedMultiset(depth=depth, payload=Inr(Multiset(entries=tuple(merged))))
+    members = [
+        lift_payload(key, depth - source.depth)
+        for source in (a, b)
+        for key in multiset_elements(source.payload.value)
+    ]
+    union = multiset_of(level_relation(rel, depth - 1), members)
+    return NestedMultiset(depth=depth, payload=Inr(union))
 
 
 def nested_multiset_relation(rel: WFRelation, max_depth: int = 12) -> WFRelation:

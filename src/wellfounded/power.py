@@ -287,19 +287,16 @@ def pow_relation(rel: WFRelation) -> WFRelation:
 
             return with_lex
 
-        def below_all(elements):
-            if not elements:
-                def nothing_below(_cert):
-                    def handle(_lower, _evidence):
-                        raise EvidenceError("nothing lies below the empty list")
+        def nothing_below(_cert):
+            def handle(_lower, _evidence):
+                raise EvidenceError("nothing lies below the empty list")
 
-                    return handle
+            return handle
 
-                return nothing_below
-            front, last = elements[:-1], elements[-1]
-            return closure.wfrec(q1, last)(front, below_all(front))
+        def below(prefix, last, below_prefix):
+            return closure.wfrec(q1, last)(prefix, below_prefix)
 
-        return step(z, below_all(z.elements)(z.cert))
+        return step(z, snoc_fold(nothing_below, below, z.elements)(z.cert))
 
     return WFRelation(
         carrier=name,

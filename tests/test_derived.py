@@ -11,6 +11,7 @@ from wellfounded import (
     Var,
     check_recursion_equation,
     dm_oracle,
+    empty_relation,
     expr_substructure,
     expr_vars,
     finfun_exp,
@@ -213,6 +214,11 @@ class TestNestedMultisets:
         assert mixed.depth == 2
         keys = [key for key, _count in mixed.payload.value.entries]
         assert keys == [Inr(multiset_of(NAT, [0])), Inl(0)]
+
+    def test_union_of_unrelated_members_rejected(self):
+        unrelated = empty_relation("atoms")
+        with pytest.raises(IncomparableError):
+            nm_union(unrelated, nm_singleton(nm_atom("a")), nm_singleton(nm_atom("b")))
 
     def test_union_of_atoms_rejected(self):
         with pytest.raises(ValueError):

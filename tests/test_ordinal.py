@@ -1,4 +1,7 @@
 import itertools
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,10 +17,12 @@ from wellfounded import (
     format_ordinal,
     from_nested,
     nested_multiset_relation,
+    nm_union,
     parse_ordinal,
     to_nested,
 )
-from wellfounded.checks import random_notation
+from wellfounded import checks
+from wellfounded.checks import PROPERTIES, random_notation
 from wellfounded.ordinal import ONE, add, from_nat, normalize, omega_power
 
 
@@ -161,11 +166,52 @@ class TestNestedView:
             nested = self.order.decide(to_nested(a), to_nested(b)) is not None
             assert direct == nested
 
+    def test_union_is_the_natural_sum(self, rng):
+        def natural_sum(a, b):
+            coefficients = {}
+            for exponent, coefficient in a.terms + b.terms:
+                coefficients[exponent] = coefficients.get(exponent, 0) + coefficient
+            return OrdinalNotation(tuple(sorted(coefficients.items(), reverse=True)))
+
+        def nonzero():
+            while not (notation := random_notation(rng, 3)).terms:
+                pass
+            return notation
+
+        for _ in range(300):
+            a, b = nonzero(), nonzero()
+            union = nm_union(empty_relation("unit"), to_nested(a), to_nested(b))
+            assert union == to_nested(natural_sum(a, b))
+
     def test_omega_tower_depths(self):
         tower = OMEGA
         for expected_depth in (2, 3, 4):
             assert to_nested(tower).depth == expected_depth
             tower = omega_power(tower)
+
+
+class TestAgreementBattery:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "ordinal_agreement.py"
+
+    def run_script(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["ordinal_agreement.py", "--samples", "50"])
+        return runpy.run_path(str(self.SCRIPT))["main"]()
+
+    def test_swapped_compare_fails_the_entry_and_the_script(self, monkeypatch, capsys):
+        _name, check, small, _full = next(
+            entry for entry in PROPERTIES if entry[0] == "ordinal-agreement"
+        )
+        assert check(0, **small) is None
+        assert self.run_script(monkeypatch) == 0
+        original = checks.compare
+        swapped = {
+            Ordering.LT: Ordering.GT, Ordering.GT: Ordering.LT, Ordering.EQ: Ordering.EQ
+        }
+        monkeypatch.setattr(checks, "compare", lambda a, b: swapped[original(a, b)])
+        assert check(0, **small).startswith("nested comparison differs")
+        capsys.readouterr()
+        assert self.run_script(monkeypatch) == 1
+        assert "nested comparison differs" in capsys.readouterr().out
 
 
 class TestDescent:

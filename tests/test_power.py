@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -294,6 +296,18 @@ class TestPowRelation:
         with pytest.raises(RecursionBudgetError):
             wfrec(power, drop, of_rank(64))
         assert wfrec(power, drop, of_rank(40)) == 40
+
+    def test_long_list_takes_no_frame_per_element(self, monkeypatch):
+        # the recursor folds the list from the rear instead of recursing on it
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            top = descending(NAT, range(1999, -1, -1))
+            length = wfrec(pow_relation(NAT), lambda z, _rec: len(z.elements), top)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert length == 2000
 
     def test_predecessors_cover_exactly_the_lists_below(self):
         power = pow_relation(NAT)
