@@ -699,12 +699,19 @@ class NamedOrder:
     sample_starts: tuple
 
 
+def parse_nat(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"expected a natural number: {text!r}")
+    return value
+
+
 def parse_nat_list(text: str) -> tuple:
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(parse_nat(part) for part in text.split(","))
     except ValueError as error:
         raise ValueError(f"expected comma-separated naturals: {text!r}") from error
 
@@ -763,7 +770,7 @@ def named_descent_order(name: str) -> NamedOrder:
         return NamedOrder(
             name="nat",
             relation=nat,
-            parse_start=lambda text: int(text),
+            parse_start=parse_nat,
             describe=str,
             descent_bound=lambda start: start + 1,
             sample_starts=(9, 17, 30),

@@ -23,7 +23,7 @@ from .core import (
     nat_less,
 )
 from .power import descending, pow_relation
-from .checks import named_descent_order, parse_nat_list, run_all
+from .checks import named_descent_order, parse_nat, parse_nat_list, run_all
 from .demos import ackermann, fib, quicksort
 from .ordinal import ParseError, compare, format_ordinal, parse_ordinal
 
@@ -91,6 +91,8 @@ def _cmd_pow(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    if args.max_steps < 1:
+        return _fail(args, f"--max-steps must be at least 1: {args.max_steps}", EXIT_PARSE)
     try:
         order = named_descent_order(args.order)
     except ValueError as error:
@@ -99,7 +101,7 @@ def _cmd_chain(args) -> int:
         start = order.parse_start(args.start)
     except (ParseError, ValueError) as error:
         return _fail(args, str(error), EXIT_PARSE)
-    except IncomparableError as error:
+    except (EvidenceError, IncomparableError) as error:
         return _fail(args, str(error), EXIT_INVARIANT)
     chain = fuzz_descent(
         order.relation, start, max_steps=args.max_steps, seed=args.seed
@@ -122,11 +124,11 @@ def _cmd_demo(args) -> int:
             )
             _emit(args, {"result": result}, result)
         elif args.program == "ackermann":
-            m, n = (int(v) for v in args.values)
+            m, n = (parse_nat(v) for v in args.values)
             value = ackermann(m, n)
             _emit(args, {"result": value}, str(value))
         else:
-            value = fib(int(args.values[0]))
+            value = fib(parse_nat(args.values[0]))
             _emit(args, {"result": value}, str(value))
     except (ValueError, IndexError) as error:
         return _fail(args, f"bad demo arguments: {error}", EXIT_PARSE)

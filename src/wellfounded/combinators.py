@@ -15,12 +15,12 @@ from typing import Any, Callable, Optional
 
 from .core import (
     _MISS,
+    _VALIDATING,
     EQUAL,
     EqualWitness,
     EvidenceError,
     UndecidableError,
     WFRelation,
-    evidence_validation_enabled,
 )
 
 
@@ -39,7 +39,7 @@ def subrelation(
     name = carrier or f"sub({base.carrier})"
 
     def recursor(step, a):
-        validate = evidence_validation_enabled()
+        validate = _VALIDATING.get()
 
         def s(x, ih):
             def rec(x_next, lt):

@@ -9,15 +9,16 @@ when the relation is genuinely well-founded.
 
 Evidence values are ordinary data.  In release mode recursion never
 inspects them; inside ``with validated_evidence():`` every recursive call
-re-checks its evidence against ``decide``.
+that the current thread and context make re-checks its evidence against
+``decide``.
 
-All recursion runs through one evaluator.  It memoizes step values per
-top-level call, for composed relations too, so every relation runs the
-step at most once per element, and it frees the memo when the call
-returns; steps must be deterministic, as the recursion equation already
-requires.  Its depth budget (env ``WFREC_DEPTH``) counts every step and is
-shared by evaluators nested inside each other, such as the columns of a
-lexicographic order.
+All recursion runs through one evaluator, the only code that runs a step.
+It memoizes step values per top-level call, for composed relations too, so
+every relation runs the step at most once per element, and it frees the
+memo when the call returns; steps must be deterministic, as the recursion
+equation already requires.  Its depth budget (env ``WFREC_DEPTH``, read
+once per top-level call) counts every step and is shared by evaluators
+nested inside each other, such as the columns of a lexicographic order.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import random
 import sys
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping, Optional, Sequence
 
@@ -82,22 +84,18 @@ def recursion_budget() -> int:
     return value if value > 0 else DEFAULT_RECURSION_BUDGET
 
 
-_VALIDATE_EVIDENCE = False
-
-
-def evidence_validation_enabled() -> bool:
-    return _VALIDATE_EVIDENCE
+_VALIDATING = ContextVar("validated_evidence", default=False)
 
 
 @contextmanager
 def validated_evidence():
-    """Re-check the evidence of every recursive call inside the block."""
-    global _VALIDATE_EVIDENCE
-    previous, _VALIDATE_EVIDENCE = _VALIDATE_EVIDENCE, True
+    """Re-check the evidence of every recursive call inside the block, in
+    this thread and context only: threads started inside run unvalidated."""
+    token = _VALIDATING.set(True)
     try:
         yield
     finally:
-        _VALIDATE_EVIDENCE = previous
+        _VALIDATING.reset(token)
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,7 @@ class WFRelation:
         return f"WFRelation({self.carrier})"
 
 
-_threads = threading.local()  # per thread: the innermost running frame and step
+_threads = threading.local()  # per thread: the running frame, step and budget
 _MISS = object()  # what a memo lookup yields for an element it has not seen
 
 
@@ -135,16 +133,21 @@ def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
     # per element.  The memo is freed when the evaluation returns.
     #
     # The depth budget is shared through the per-thread ``running`` list:
-    # the depth of the innermost running frame, and the depth and element
-    # of the innermost running wrapped step.  A frame runs one below the
-    # deeper of its caller and the running frame.  A wrapped step runs one
-    # below the running step, but not above the running frame, which may
-    # already be its own level (a lex column's); the same element seen
-    # through a second wrapper is the same step.
-    budget = recursion_budget()
-    frames = min(8 * budget + 500, _STACK_FRAME_CEILING)  # a few per level
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), frames))
-    running = _threads.__dict__.setdefault("running", [-1, -1, _MISS])
+    # the depth of the innermost running frame, the depth and element of
+    # the innermost running wrapped step, and the budget, which only the
+    # top-level evaluation reads (0 while none runs).  A frame runs one
+    # below the deeper of its caller and the running frame.  A wrapped step
+    # runs one below the running step, but not above the running frame,
+    # which may already be its own level (a lex column's); the same element
+    # seen through a second wrapper is the same step.
+    running = _threads.__dict__.setdefault("running", [-1, -1, _MISS, 0])
+    budget = running[3]
+    top = not budget
+    if top:
+        budget = recursion_budget()
+        frames = min(8 * budget + 500, _STACK_FRAME_CEILING)  # a few per level
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), frames))
+        running[3] = budget
     memo: dict = {}
 
     def recall(x):
@@ -185,7 +188,7 @@ def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
                 return memo[x]
         except TypeError:
             pass
-        frame, level, element = running
+        frame, level, element, _budget = running
         depth = level if x is element else level + 1
         if frame > depth:
             depth = frame
@@ -214,18 +217,14 @@ def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
         ) from None
     finally:
         memo.clear()
+        if top:
+            running[3] = 0
 
 
 def _budget_error(budget: int) -> RecursionBudgetError:
     return RecursionBudgetError(
         f"descent deeper than {budget} (override with WFREC_DEPTH)"
     )
-
-
-def _depth_room() -> int:
-    # levels that a recursor descending on its own, such as a structural
-    # fold, may still go below the innermost running step within the budget
-    return recursion_budget() - _threads.__dict__.get("running", (-1,))[0] - 1
 
 
 def _validating_step(rel: WFRelation, step: StepFunction) -> StepFunction:
@@ -248,7 +247,7 @@ def wfrec(rel: WFRelation, step: StepFunction, a: Any) -> Any:
     The result satisfies ``wfrec(rel, step, a) ==
     step(a, lambda x, e: wfrec(rel, step, x))`` and evaluation terminates.
     """
-    if _VALIDATE_EVIDENCE:
+    if _VALIDATING.get():
         step = _validating_step(rel, step)
     return rel.wfrec(step, a)
 

@@ -2,11 +2,12 @@
 
 Trees stand in for wellordering types with enumerable branching: every
 node carries a label and an ordered tuple of subtrees.  The subtree
-relation is decidable by structural equality, and its recursion operator
-is a plain structural fold.  ``predecessor_tree`` unfolds any relation
-with enumerable predecessors into such a tree, which characterises
-well-founded relations: an element lies below another exactly when its
-tree is an immediate subtree of the other's.
+relation is decidable by structural equality, and its recursion runs
+through the generic evaluator, like every relation's; ``tree_fold`` is
+the structural fold, outside the evaluator.  ``predecessor_tree`` unfolds
+any relation with enumerable predecessors into such a tree, which
+characterises well-founded relations: an element lies below another
+exactly when its tree is an immediate subtree of the other's.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
-from .core import WFRelation, _budget_error, _depth_room, recursion_budget
+from .core import WFRelation
 
 
 @dataclass(frozen=True)
@@ -134,31 +135,12 @@ def _subtree_predecessors(upper: WTree):
 
 
 def wtree_relation() -> WFRelation:
-    """The immediate-subtree relation; evidence is a branch index."""
-
-    def recursor(step, tree):
-        room = _depth_room()
-
-        # each node yields its step value and its height, so that a tree
-        # deeper than the shared depth budget allows is a budget error
-        def at_node(label, branches, results):
-            height = 1 + max((h for _value, h in results), default=-1)
-            if height > room:
-                raise _budget_error(recursion_budget())
-            node = WTree(label=label, branches=branches)
-
-            def rec(_subtree, index):
-                return results[index][0]
-
-            return step(node, rec), height
-
-        return tree_fold(at_node, tree)[0]
-
+    """The immediate-subtree relation; evidence is a branch index.  Its
+    recursion unfolds through the generic evaluator, not ``tree_fold``."""
     return WFRelation(
         carrier="wtree",
         decide=subtree_decide,
         predecessors=_subtree_predecessors,
-        recursor=recursor,
     )
 
 

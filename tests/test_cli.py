@@ -154,3 +154,32 @@ class TestCheckCommand:
         payload = json.loads(out)
         assert code == 0 and payload["ok"] is True
         assert {"name", "ok", "detail"} <= set(payload["results"][0])
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("pow", "compare", "--", "-1", "0"), 2),
+        (("demo", "quicksort", "--", "-3,1"), 2),
+        (("demo", "fib", "-3"), 2),
+        (("demo", "ackermann", "--", "-1", "0"), 2),
+        (("chain", "nat", "--", "-5"), 2),
+        (("chain", "multiset-nat", "--", "-1,2"), 2),
+        (("chain", "nat", "5", "--max-steps", "0"), 2),
+        (("chain", "pow-nat", "1,3"), 3),
+    ],
+    ids=[
+        "pow-negative",
+        "quicksort-negative",
+        "fib-negative",
+        "ackermann-negative",
+        "nat-chain-negative",
+        "multiset-chain-negative",
+        "zero-max-steps",
+        "pow-chain-not-descending",
+    ],
+)
+def test_inputs_outside_the_carriers_are_json_errors(capsys, argv, expected):
+    code, out, _err = run(capsys, "--json", *argv)
+    assert code == expected
+    assert list(json.loads(out)) == ["error"]

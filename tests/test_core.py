@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 
 import pytest
@@ -40,6 +42,13 @@ def ackermann_step(pair, rec):
     return rec((m - 1, inner), lex_first(nat_less_decide(m - 1, m)))
 
 
+def cheating(n, rec):
+    # climbs 1, 2, 3 over nat_less with a leaf for evidence
+    if n < 3:
+        return rec(n + 1, NatLessEvidence())
+    return 0
+
+
 class TestWfrec:
     def test_course_of_values_fibonacci(self):
         assert iterative_fib(10) == 55
@@ -57,11 +66,6 @@ class TestWfrec:
         assert wfrec(order, ackermann_step, (2, 3)) == 9
 
     def test_validation_rejects_bogus_evidence(self):
-        def cheating(n, rec):
-            if n < 3:
-                return rec(n + 1, NatLessEvidence())
-            return 0
-
         with validated_evidence():
             with pytest.raises(EvidenceError):
                 wfrec(nat_less(), cheating, 1)
@@ -118,6 +122,17 @@ class TestEvaluator:
         rewrapped = replace(order, recursor=order.wfrec)
         assert wfrec(rewrapped, step, (1, 15)) == 46
 
+    def test_budget_is_read_once_per_top_level_call(self, monkeypatch):
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        order = lex_product(nat_less(), nat_less())
+        inner = column_then_drop(30)
+
+        def step(pair, rec):
+            os.environ["WFREC_DEPTH"] = "5"  # not seen by the nested columns
+            return inner(pair, rec)
+
+        assert wfrec(order, step, (1, 15)) == 46
+
     def test_stack_exhaustion_is_a_budget_error(self, monkeypatch):
         # a budget beyond what the Python stack holds
         monkeypatch.setenv("WFREC_DEPTH", "1000000")
@@ -168,6 +183,35 @@ class TestEvaluator:
         with validated_evidence():
             with pytest.raises(EvidenceError):
                 wfrec(by_length, step, (1, 2, 3))
+
+
+class TestEvidenceSwitch:
+    def test_threads_started_inside_the_block_run_unvalidated(self):
+        results = []
+        with validated_evidence():
+            worker = threading.Thread(
+                target=lambda: results.append(wfrec(nat_less(), cheating, 1))
+            )
+            worker.start()
+            worker.join()
+        assert results == [0]
+
+    def test_a_validating_thread_leaves_the_others_unvalidated(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def validating():
+            with validated_evidence():
+                entered.set()
+                release.wait(10)
+
+        worker = threading.Thread(target=validating)
+        worker.start()
+        try:
+            assert entered.wait(10)
+            assert wfrec(nat_less(), cheating, 1) == 0
+        finally:
+            release.set()
+            worker.join()
 
 
 class TestNatLessDecide:

@@ -135,6 +135,28 @@ class TestWtreeRelation:
             tree = random_tree(rng, 4)
             assert wfrec(trees, height_step, tree) == oracle_height(tree)
 
+    def test_steps_run_only_at_the_subtrees_recursed_into(self):
+        trees = wtree_relation()
+        calls = []
+
+        def first_branch(node, rec):
+            calls.append(node.label)
+            if not node.branches:
+                return node.label
+            return rec(node.branches[0], 0)
+
+        tree = WTree("r", (leaf("x"), WTree("y", tuple(leaf(i) for i in range(5)))))
+        assert wfrec(trees, first_branch, tree) == "x"
+        assert calls == ["r", "x"]
+
+    def test_a_call_yields_the_value_of_the_subtree_passed(self):
+        trees = wtree_relation()
+
+        def step(node, rec):
+            return rec(leaf("b"), 0) if node.branches else node.label
+
+        assert wfrec(trees, step, WTree("r", (leaf("a"), leaf("b")))) == "b"
+
     def test_recursion_equation_on_random_trees(self, rng):
         trees = wtree_relation()
 
