@@ -12,17 +12,19 @@ inspects them; inside ``with validated_evidence():`` every recursive call
 that the current thread and context make re-checks its evidence against
 ``decide``.
 
-All recursion runs through one evaluator, the only code that runs a step.
-It memoizes step values per top-level call, for composed relations too, so
-every relation runs the step at most once per element, and it frees the
-memo when the call returns; steps must be deterministic, as the recursion
-equation already requires.  Its depth budget (env ``WFREC_DEPTH``, read
-once per top-level call) counts every step and is shared by evaluators
-nested inside each other, such as the columns of a lexicographic order.
+All recursion runs through one evaluator, whose one runner runs every step,
+for composed relations too.  It memoizes step values per top-level call, so
+every relation runs the step at most once per element, and frees the memo
+on return; steps must be deterministic, as the recursion equation already
+requires.  Its depth budget (env ``WFREC_DEPTH``, read once per top-level
+call) counts every step and is shared by nested evaluators, such as the
+columns of a lexicographic order: a step runs one level below the running
+step, unless that one is the glue of an evaluation opened later.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import sys
@@ -122,95 +124,74 @@ class WFRelation:
         return f"WFRelation({self.carrier})"
 
 
-_threads = threading.local()  # per thread: the running frame, step and budget
+_threads = threading.local()  # per thread: the running step and the budget
+_opened = itertools.count(1)  # numbers evaluations in the order they open
 _MISS = object()  # what a memo lookup yields for an element it has not seen
 
 
 def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
-    # The recursion evaluator.  Without a recursor it unfolds the recursion
-    # equation; with one, it hands the recursor the step wrapped with this
-    # evaluation's memo, so that every relation runs the step at most once
-    # per element.  The memo is freed when the evaluation returns.
+    # The recursion evaluator.  ``memoized`` is its one runner of steps: it
+    # runs the step at most once per element of this evaluation.  Without
+    # a recursor the evaluator unfolds the recursion equation through it;
+    # a recursor is handed it as the step.  The memo is freed on return.
     #
-    # The depth budget is shared through the per-thread ``running`` list:
-    # the depth of the innermost running frame, the depth and element of
-    # the innermost running wrapped step, and the budget, which only the
-    # top-level evaluation reads (0 while none runs).  A frame runs one
-    # below the deeper of its caller and the running frame.  A wrapped step
-    # runs one below the running step, but not above the running frame,
-    # which may already be its own level (a lex column's); the same element
-    # seen through a second wrapper is the same step.
-    running = _threads.__dict__.setdefault("running", [-1, -1, _MISS, 0])
-    budget = running[3]
+    # The per-thread ``running`` list holds the depth and the evaluation of
+    # the innermost running step, and the budget, which only the top-level
+    # evaluation reads (0 while none runs).  A step runs one below the
+    # running step, unless that belongs to an evaluation opened after this
+    # one: it is then a composed relation's glue (a lex column, a sum side,
+    # a subrelation) handing this evaluation's step the element it stands
+    # at, and the step runs at the same level.  Such hand-overs only reach
+    # older evaluations, so no chain of them is endless.
+    running = _threads.__dict__.setdefault("running", [-1, 0, 0])
+    budget = running[2]
     top = not budget
     if top:
         budget = recursion_budget()
         frames = min(8 * budget + 500, _STACK_FRAME_CEILING)  # a few per level
         sys.setrecursionlimit(max(sys.getrecursionlimit(), frames))
-        running[3] = budget
+        running[2] = budget
     memo: dict = {}
-
-    def recall(x):
-        try:
-            return memo.get(x, _MISS)
-        except TypeError:  # unhashable: stepped without the memo
-            return _MISS
-
-    def call(x, depth):
-        try:
-            if x in memo:
-                return memo[x]
-        except TypeError:  # unhashable: unfolded without the memo
-            pass
-        outer = running[0]
-        if outer >= depth:
-            depth = outer + 1
-        if depth > budget:
-            raise _budget_error(budget)
-
-        def rec(x_next, _evidence):
-            return call(x_next, depth + 1)
-
-        running[0] = depth
-        try:
-            value = step(x, rec)
-        finally:
-            running[0] = outer
-        try:
-            memo[x] = value
-        except TypeError:
-            pass
-        return value
+    mine = next(_opened)
 
     def memoized(x, rec):
         try:
             if x in memo:
                 return memo[x]
-        except TypeError:
+        except TypeError:  # unhashable: stepped without the memo
             pass
-        frame, level, element, _budget = running
-        depth = level if x is element else level + 1
-        if frame > depth:
-            depth = frame
+        outer, owner, _budget = running
+        depth = outer + 1 if owner <= mine else outer
         if depth > budget:
             raise _budget_error(budget)
-        running[0] = running[1] = depth
-        running[2] = x
+        running[0] = depth
+        running[1] = mine
         try:
             value = step(x, rec)
         finally:
-            running[0], running[1], running[2] = frame, level, element
+            running[0] = outer
+            running[1] = owner
         try:
             memo[x] = value
         except TypeError:
             pass
         return value
 
-    memoized.recall = recall
     try:
-        if recursor is not None:
-            return recursor(memoized, a)
-        return call(a, 0)
+        if recursor is None:
+            def rec(x, _evidence):
+                return memoized(x, rec)
+
+            return memoized(a, rec)
+
+        def recall(x):
+            try:
+                return memo.get(x, _MISS)
+            except TypeError:
+                return _MISS
+
+        memoized.recall = recall  # for handlers that can skip a chain walk
+        return recursor(memoized, a)
     except RecursionError:
         raise RecursionBudgetError(
             f"Python stack exhausted before the depth budget of {budget} ran out"
@@ -218,7 +199,7 @@ def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
     finally:
         memo.clear()
         if top:
-            running[3] = 0
+            running[2] = 0
 
 
 def _budget_error(budget: int) -> RecursionBudgetError:

@@ -105,24 +105,30 @@ def list_lex_decide(rel: WFRelation, lower, upper) -> Optional[LexListEvidence]:
     the tails.
     """
     lower, upper = tuple(lower), tuple(upper)
-    if not upper:
-        return None
-    if not lower:
-        return NIL_BELOW
-    evidence = rel.decide(lower[0], upper[0])
-    if evidence is not None:
-        return head_less(evidence)
-    if lower[0] == upper[0]:
-        rest = list_lex_decide(rel, lower[1:], upper[1:])
-        if rest is not None:
-            return head_equal(rest)
-    return None
+    common = 0  # heads equal so far; each wraps the evidence in head_equal
+    for low, up in zip(lower, upper):
+        evidence = rel.decide(low, up)
+        if evidence is not None:
+            evidence = head_less(evidence)
+            break
+        if low != up:
+            return None
+        common += 1
+    else:
+        if common == len(upper):
+            return None
+        evidence = NIL_BELOW
+    for _ in range(common):
+        evidence = head_equal(evidence)
+    return evidence
 
 
 def snoc_fold(nil_case, snoc_case: Callable[[tuple, Any, Any], Any], items):
     """Fold a list from the rear: ``nil_case`` for the empty list, and
-    ``snoc_case(prefix, last, value_for_prefix)`` for each extension."""
-    items = tuple(items)
+    ``snoc_case(prefix, last, value_for_prefix)`` for each extension.  A
+    ``range`` is folded as it is, so its prefixes are ranges, not copies."""
+    if not isinstance(items, range):
+        items = tuple(items)
     value = nil_case
     for position, last in enumerate(items):
         value = snoc_case(items[:position], last, value)
@@ -244,13 +250,16 @@ def pow_relation(rel: WFRelation) -> WFRelation:
 
     def recursor(step, z: DescendingList):
         def q1(x, ih):
-            # ih(y, chain) is the append handler for any y below x in the closure
-            def append_handler(prefix, below_prefix):
+            # ih(y, chain) is the append handler for any y below x in the
+            # closure; the handler for items[:length] + [x] slices its
+            # prefix only when a step recurses through it
+            def append_handler(items, length, below_prefix):
                 def with_cert(cert):
                     def handle(lower: DescendingList, lex_evidence):
                         value = step.recall(lower)
                         if value is not _MISS:
                             return value
+                        prefix = items[:length]
                         case = below_append_cases(
                             lower.elements, prefix, (x,), lex_evidence
                         )
@@ -281,7 +290,8 @@ def pow_relation(rel: WFRelation) -> WFRelation:
                     shorter = extend(ih, prefix, below_prefix, x, front)(
                         prefix_below(front, (last,), (x,), lex_evidence)
                     )
-                    return ih(last, chain)(prefix + front, shorter)(cert)
+                    before = prefix + front
+                    return ih(last, chain)(before, len(before), shorter)(cert)
 
                 return with_cert
 
@@ -293,10 +303,16 @@ def pow_relation(rel: WFRelation) -> WFRelation:
 
             return handle
 
-        def below(prefix, last, below_prefix):
-            return closure.wfrec(q1, last)(prefix, below_prefix)
+        elements = z.elements
 
-        return step(z, snoc_fold(nothing_below, below, z.elements)(z.cert))
+        def below(_positions, position, below_prefix):
+            # folded over positions, so no prefix is copied
+            return closure.wfrec(q1, elements[position])(
+                elements, position, below_prefix
+            )
+
+        fold = snoc_fold(nothing_below, below, range(len(elements)))
+        return step(z, fold(z.cert))
 
     return WFRelation(
         carrier=name,

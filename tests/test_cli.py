@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -54,6 +55,23 @@ class TestPowCommands:
     def test_json_mode(self, capsys):
         code, out, _ = run(capsys, "--json", "pow", "compare", "1,0", "2")
         assert code == 0 and json.loads(out) == {"result": "LT"}
+
+    def test_long_common_prefix(self, capsys):
+        # a 2999-element common prefix under the interpreter's default limit
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            code, out, _ = run(
+                capsys,
+                "--json",
+                "pow",
+                "compare",
+                ",".join(str(v) for v in range(2999, -1, -1)),
+                ",".join(str(v) for v in range(2999, 0, -1)),
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 0 and json.loads(out) == {"result": "GT"}
 
     def test_not_descending_exits_three(self, capsys):
         code, _out, err = run(capsys, "pow", "compare", "1,1", "2")

@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+import wellfounded
 from wellfounded import (
     EQUAL,
     DescentBudgetError,
@@ -21,13 +24,19 @@ from wellfounded import (
     nat_wfrec,
     validated_evidence,
     wfrec,
+    with_enumerated_predecessors,
 )
 from wellfounded.checks import direct_ackermann, fib_step, iterative_fib
 from wellfounded.combinators import (
+    Inl,
+    Inr,
+    disjoint_sum,
+    inverse_image,
     lex_first,
     lex_product,
     lex_second,
     single_step,
+    subrelation,
     transitive_closure,
 )
 
@@ -85,7 +94,97 @@ def column_then_drop(top):
     return step
 
 
+def descend(order, below):
+    # one level per call, to below(x) until it is None; the value is the
+    # number of levels
+    def step(x, rec):
+        lower = below(x)
+        return 0 if lower is None else 1 + rec(lower, order.decide(lower, x))
+
+    return step
+
+
+def one_below(base):
+    # the subrelation m + 1 == n of base
+    return subrelation(
+        base,
+        embed=lambda low, up, _e: base.decide(low, up),
+        sub_decide=lambda low, up: EQUAL if low + 1 == up else None,
+    )
+
+
+def nat_below(n):
+    return n - 1 if n else None
+
+
+def right_then_left(z):
+    # Inr(m) down to Inr(0), a jump to Inl(24), then down to Inl(0)
+    if isinstance(z, Inr):
+        return Inr(z.value - 1) if z.value else Inl(24)
+    return Inl(z.value - 1) if z.value else None
+
+
+# name: (order, below, the start that is exactly this many levels deep)
+DESCENTS = {
+    "nat": (nat_less(), nat_below, int),
+    "subrelation": (one_below(nat_less()), nat_below, int),
+    "inverse-image": (
+        inverse_image(nat_less(), len),
+        lambda xs: xs[1:] if xs else None,
+        lambda levels: tuple(range(levels)),
+    ),
+    "sum-right-to-left": (
+        disjoint_sum(nat_less(), nat_less()),
+        right_then_left,
+        lambda levels: Inr(levels - 25),
+    ),
+    "closure": (transitive_closure(nat_less()), nat_below, int),
+    "subrelation-of-subrelation": (
+        one_below(one_below(nat_less())),
+        nat_below,
+        int,
+    ),
+    "closure-of-enumerated-subrelation": (
+        transitive_closure(
+            with_enumerated_predecessors(one_below(nat_less()), range(60))
+        ),
+        nat_below,
+        int,
+    ),
+}
+
+
 class TestEvaluator:
+    @pytest.mark.parametrize("name", list(DESCENTS))
+    def test_a_descent_of_exactly_the_budget_evaluates(self, monkeypatch, name):
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        order, below, start = DESCENTS[name]
+        step = descend(order, below)
+        assert wfrec(order, step, start(50)) == 50
+        with pytest.raises(RecursionBudgetError):
+            wfrec(order, step, start(51))
+
+    def test_deep_budgets_fit_the_frame_ceiling(self):
+        # In a fresh interpreter the frame ceiling holds a nat chain of 4998
+        # levels (4997 on Python 3.10) and the lex descent from (1, 1248);
+        # one more frame per level would cut the chain to about 3750.
+        script = (
+            "from test_core import *\n"
+            "assert wfrec(nat_less(), descend(nat_less(), nat_below), 4990) == 4990\n"
+            "order = lex_product(nat_less(), nat_less())\n"
+            "assert wfrec(order, column_then_drop(1245), (1, 1245)) == 2491\n"
+        )
+        src = os.path.dirname(os.path.dirname(wellfounded.__file__))
+        path = os.pathsep.join([os.path.dirname(__file__), src])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, WFREC_DEPTH="5000", PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_deep_descents_raise_the_budget_error(self):
         with pytest.raises(RecursionBudgetError):
             nat_wfrec(fib_step, 5000)

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from wellfounded import (
     wfrec,
 )
 from wellfounded.checks import all_descending_lists
+from wellfounded.power import NIL_BELOW, head_equal, head_less
 
 NAT = nat_less()
 
@@ -73,6 +75,25 @@ class TestListLexDecide:
         assert list_lex_decide(NAT, (), ()) is None
         assert list_lex_decide(NAT, (3,), ()) is None
 
+    @given(nat_lists, nat_lists, nat_lists)
+    def test_matches_the_recursive_definition(self, common, lower, upper):
+        def recursive(lower, upper):
+            if not upper:
+                return None
+            if not lower:
+                return NIL_BELOW
+            evidence = NAT.decide(lower[0], upper[0])
+            if evidence is not None:
+                return head_less(evidence)
+            if lower[0] == upper[0]:
+                rest = recursive(lower[1:], upper[1:])
+                if rest is not None:
+                    return head_equal(rest)
+            return None
+
+        lower, upper = common + lower, common + upper
+        assert list_lex_decide(NAT, lower, upper) == recursive(lower, upper)
+
     def test_unrestricted_order_admits_a_descending_chain(self):
         # raw lists keep descending; the carrier restriction is what stops this
         chain = [(1,), (0, 1), (0, 0, 1)]
@@ -93,6 +114,10 @@ class TestSnocFold:
     def test_rebuild_identity(self, items):
         rebuilt = snoc_fold((), lambda _prefix, last, acc: acc + (last,), items)
         assert rebuilt == items
+
+    def test_range_prefixes_are_ranges(self):
+        prefixes = snoc_fold((), lambda prefix, _last, acc: acc + (prefix,), range(3))
+        assert prefixes == (range(0), range(1), range(2))
 
     @given(nat_lists)
     def test_snoc_equation(self, items):
@@ -308,6 +333,22 @@ class TestPowRelation:
         finally:
             sys.setrecursionlimit(limit)
         assert length == 2000
+
+    def test_long_list_holds_no_prefix_copies(self):
+        # a step that never recurses keeps one handler per element alive,
+        # not a prefix copy per element
+        power = pow_relation(NAT)
+
+        def peak(length):
+            top = descending(NAT, range(length - 1, -1, -1))
+            tracemalloc.start()
+            try:
+                wfrec(power, lambda z, _rec: len(z.elements), top)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) < 6 * peak(1000)
 
     def test_predecessors_cover_exactly_the_lists_below(self):
         power = pow_relation(NAT)
