@@ -27,10 +27,12 @@ from .wtree import WTree, leaf, subtree_decide, wtree_relation
 
 
 def length(items) -> int:
-    total = 0
-    for _ in items:
-        total += 1
-    return total
+    """The number of items: ``len`` when the argument has one, otherwise a
+    count by iteration (a generator is consumed)."""
+    try:
+        return len(items)
+    except TypeError:
+        return sum(1 for _ in items)
 
 
 def filter_list(keep: Callable[[Any], bool], items) -> tuple:
@@ -59,9 +61,10 @@ def quicksort(le: Callable[[Any, Any], bool], items) -> tuple:
     """Sort by recursion on the length measure.
 
     ``le(b, a)`` reads "b is less than or equal to a"; elements equal under
-    the ordering land in the front partition.  Each partition is filtered
-    once; its evidence is ``length(part) < length(tail) + 1``, the bound
-    that ``filter_below_cons`` states.
+    the ordering land in the front partition.  Each tail is partitioned in
+    one pass that asks ``le(b, head)`` once per element, so the two parts
+    always split the tail; each part's evidence is ``length(part) <
+    length(tail) + 1``, the bound that ``filter_below_cons`` states.
     """
     order = list_length_order()
 
@@ -69,15 +72,11 @@ def quicksort(le: Callable[[Any, Any], bool], items) -> tuple:
         if not l:
             return ()
         head, tail = l[0], l[1:]
-
-        def before(b):
-            return le(b, head)
-
-        def after(b):
-            return not le(b, head)
-
+        smaller, larger = [], []
+        for b in tail:
+            (smaller if le(b, head) else larger).append(b)
+        smaller, larger = tuple(smaller), tuple(larger)
         bound = length(tail) + 1
-        smaller, larger = filter_list(before, tail), filter_list(after, tail)
         front = rec(smaller, nat_less_decide(length(smaller), bound))
         back = rec(larger, nat_less_decide(length(larger), bound))
         return append(front, (head,) + back)

@@ -140,16 +140,22 @@ def snoc_fold(nil_case, snoc_case: Callable[[tuple, Any, Any], Any], items):
 
 def prefix_below(prefix, suffix, target, evidence: LexListEvidence) -> LexListEvidence:
     """From ``prefix + suffix`` below ``target``, conclude ``prefix`` below it."""
-    prefix, suffix, target = tuple(prefix), tuple(suffix), tuple(target)
-    if not prefix:
-        if not target:
+    prefix, target = tuple(prefix), tuple(target)
+    common = 0  # equal heads walked so far; each wraps the result in head_equal
+    for _ in prefix:
+        if evidence.kind == "head_less":
+            break
+        if evidence.kind != "head_equal":
+            raise EvidenceError("nil evidence cannot describe a nonempty list")
+        evidence = evidence.rest
+        common += 1
+    else:
+        if common >= len(target):
             raise EvidenceError("no list lies below the empty list")
-        return NIL_BELOW
-    if evidence.kind == "head_less":
-        return evidence
-    if evidence.kind == "head_equal":
-        return head_equal(prefix_below(prefix[1:], suffix, target[1:], evidence.rest))
-    raise EvidenceError("nil evidence cannot describe a nonempty list")
+        evidence = NIL_BELOW
+    for _ in range(common):
+        evidence = head_equal(evidence)
+    return evidence
 
 
 @dataclass(frozen=True)
@@ -174,17 +180,21 @@ def below_append_cases(lower, left, right, evidence: LexListEvidence):
     Either ``lower`` is below ``left`` outright, or ``lower == left +
     extension`` with the extension below ``right``.
     """
-    lower, left, right = tuple(lower), tuple(left), tuple(right)
-    if not left:
-        return BelowSplit(extension=lower, evidence=evidence)
-    if evidence.kind == "nil_below":
-        return BelowLeft(evidence=NIL_BELOW)
-    if evidence.kind == "head_less":
-        return BelowLeft(evidence=evidence)
-    inner = below_append_cases(lower[1:], left[1:], right, evidence.rest)
-    if isinstance(inner, BelowLeft):
-        return BelowLeft(evidence=head_equal(inner.evidence))
-    return inner
+    lower, left = tuple(lower), tuple(left)
+    common = 0  # equal heads walked so far; each wraps the result in head_equal
+    for _ in left:
+        if evidence.kind == "nil_below":
+            evidence = NIL_BELOW
+            break
+        if evidence.kind == "head_less":
+            break
+        evidence = evidence.rest
+        common += 1
+    else:
+        return BelowSplit(extension=lower[common:], evidence=evidence)
+    for _ in range(common):
+        evidence = head_equal(evidence)
+    return BelowLeft(evidence=evidence)
 
 
 def split_descent(prefix, suffix, cert: DescentCert) -> Tuple[DescentCert, DescentCert]:

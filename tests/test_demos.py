@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +34,11 @@ class TestListBasics:
     def test_length_unfolds_by_one(self):
         for items in ((), (1,), (1, 2, 3)):
             assert length((0,) + items) == 1 + length(items)
+
+    def test_length_counts_any_iterable(self):
+        assert length(n for n in range(7)) == 7
+        for items in ((1, 2, 3), [1, 2, 3], range(3, 9)):
+            assert length(items) == len(items)
 
     def test_filter(self):
         assert filter_list(lambda n: n % 2 == 0, (1, 2, 3, 4)) == (2, 4)
@@ -87,7 +94,13 @@ class TestQuicksort:
 
         with validated_evidence():
             assert quicksort(le, range(30)) == tuple(range(30))
-        assert len(calls) == 30 * 29  # both partitions of every tail, once each
+        assert len(calls) == 30 * 29 // 2  # one comparison per element of every tail
+
+    def test_an_inconsistent_comparator_still_partitions(self):
+        # answers True, False, False, ... regardless of its arguments
+        answers = itertools.cycle((True, False, False))
+        result = quicksort(lambda _b, _a: next(answers), range(20))
+        assert sorted(result) == list(range(20))
 
     def test_unfolded_recursion_equations(self, rng):
         le = lambda a, b: a <= b

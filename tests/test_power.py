@@ -28,7 +28,7 @@ from wellfounded import (
     wfrec,
 )
 from wellfounded.checks import all_descending_lists
-from wellfounded.power import NIL_BELOW, head_equal, head_less
+from wellfounded.power import NIL_BELOW, LexListEvidence, head_equal, head_less
 
 NAT = nat_less()
 
@@ -189,6 +189,105 @@ class TestBelowAppendCases:
             else:
                 assert lower == left + case.extension
                 assert case.evidence == list_lex_decide(NAT, case.extension, right)
+
+
+def recursive_prefix_below(prefix, suffix, target, evidence):
+    # the lemma's definition by recursion on the prefix, kept as the oracle
+    if not prefix:
+        if not target:
+            raise EvidenceError("no list lies below the empty list")
+        return NIL_BELOW
+    if evidence.kind == "head_less":
+        return evidence
+    if evidence.kind == "head_equal":
+        rest = recursive_prefix_below(prefix[1:], suffix, target[1:], evidence.rest)
+        return head_equal(rest)
+    raise EvidenceError("nil evidence cannot describe a nonempty list")
+
+
+def recursive_below_append_cases(lower, left, right, evidence):
+    # the lemma's definition by recursion on the left part, kept as the oracle
+    if not left:
+        return BelowSplit(extension=lower, evidence=evidence)
+    if evidence.kind == "nil_below":
+        return BelowLeft(evidence=NIL_BELOW)
+    if evidence.kind == "head_less":
+        return BelowLeft(evidence=evidence)
+    inner = recursive_below_append_cases(lower[1:], left[1:], right, evidence.rest)
+    if isinstance(inner, BelowLeft):
+        return BelowLeft(evidence=head_equal(inner.evidence))
+    return inner
+
+
+def outcome(lemma, *args):
+    try:
+        return lemma(*args)
+    except (AttributeError, EvidenceError) as error:
+        return type(error), str(error)
+
+
+# any chain of lex evidence, well-formed or not: a chain may end in None,
+# carry an unknown kind, or stack head_equal over nil_below
+lex_evidence = st.recursive(
+    st.sampled_from(
+        [None, NIL_BELOW, head_less(NAT.decide(0, 1)), LexListEvidence(kind="bogus")]
+    ),
+    lambda rest: st.builds(
+        LexListEvidence,
+        kind=st.sampled_from(["head_equal", "head_less", "nil_below", "bogus"]),
+        rest=rest,
+    ),
+    max_leaves=8,
+)
+
+
+class TestLemmaLoops:
+    @given(descending_sets, descending_sets, st.integers(0, 6))
+    def test_match_the_recursive_definitions_on_decided_evidence(self, lower, target, cut):
+        evidence = list_lex_decide(NAT, lower, target)
+        if evidence is None:
+            return
+        cut %= len(target) + 1
+        left, right = target[:cut], target[cut:]
+        assert below_append_cases(lower, left, right, evidence) == (
+            recursive_below_append_cases(lower, left, right, evidence)
+        )
+        cut %= len(lower) + 1
+        prefix, suffix = lower[:cut], lower[cut:]
+        assert prefix_below(prefix, suffix, target, evidence) == (
+            recursive_prefix_below(prefix, suffix, target, evidence)
+        )
+
+    @given(nat_lists, nat_lists, nat_lists, lex_evidence)
+    def test_match_the_recursive_definitions_on_any_evidence(
+        self, first, second, third, evidence
+    ):
+        assert outcome(below_append_cases, first, second, third, evidence) == (
+            outcome(recursive_below_append_cases, first, second, third, evidence)
+        )
+        assert outcome(prefix_below, first, third, second, evidence) == (
+            outcome(recursive_prefix_below, first, third, second, evidence)
+        )
+
+    def test_step_through_a_long_common_prefix(self, monkeypatch):
+        # 2999..0 recurses once into 2999..1, whose lemmas walk a
+        # 2999-element common prefix under a budget of 50 and a limit of 1000
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        power = pow_relation(NAT)
+        top = descending(NAT, range(2999, -1, -1))
+        lower = descending(NAT, range(2999, 0, -1))
+
+        def step(z, rec):
+            if z.elements[-1] == 0:
+                return 1 + rec(lower, power.decide(lower, z))
+            return len(z.elements)
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert wfrec(power, step, top) == 3000
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestSplitDescent:
