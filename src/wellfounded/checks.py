@@ -699,7 +699,14 @@ class NamedOrder:
     sample_starts: tuple
 
 
+_NUMERAL_LENGTH_CAP = 4300  # CPython's default int() digit limit, on every version
+
+
 def parse_nat(text: str) -> int:
+    if len(text) > _NUMERAL_LENGTH_CAP:
+        raise ValueError(
+            f"a numeral of {len(text)} characters is longer than {_NUMERAL_LENGTH_CAP}"
+        )
     value = int(text)
     if value < 0:
         raise ValueError(f"expected a natural number: {text!r}")

@@ -62,6 +62,8 @@ def _cmd_ord(args) -> int:
             _emit(args, {"result": canonical}, canonical)
     except ParseError as error:
         return _fail(args, str(error), EXIT_PARSE)
+    except RecursionError:  # nesting that --depth-limit allows but the stack does not
+        return _fail(args, "notation nested too deeply for the Python stack", EXIT_FAILURE)
     return EXIT_OK
 
 

@@ -123,33 +123,6 @@ def single_step(lower, upper, evidence) -> ChainEvidence:
     return ChainEvidence(nodes=(lower, upper), links=(evidence,))
 
 
-@dataclass(frozen=True)
-class ChainSingle:
-    """Case split result: the chain is one base step."""
-
-    evidence: Any
-
-
-@dataclass(frozen=True)
-class ChainSplit:
-    """Case split result: a shorter chain to ``mid`` plus one final base step."""
-
-    mid: Any
-    prefix: ChainEvidence
-    last: Any
-
-
-def split_chain(chain: ChainEvidence):
-    """Case-analyse a chain: either a single base step or prefix + last link."""
-    if len(chain) == 1:
-        return ChainSingle(evidence=chain.links[0])
-    return ChainSplit(
-        mid=chain.nodes[-2],
-        prefix=ChainEvidence(nodes=chain.nodes[:-1], links=chain.links[:-1]),
-        last=chain.links[-1],
-    )
-
-
 def validate_chain(base: WFRelation, chain: ChainEvidence) -> bool:
     """Re-check every link of a chain against the base decision procedure."""
     return all(
@@ -173,6 +146,17 @@ def first_visit(seen: set, unhashable: list, element) -> bool:
     return True
 
 
+def _read_chain(reached) -> ChainEvidence:
+    # the chain up from a (node, link to its parent, parent) record
+    nodes, links = [], []
+    while reached is not None:
+        node, link, reached = reached
+        nodes.append(node)
+        if reached is not None:
+            links.append(link)
+    return ChainEvidence(nodes=tuple(nodes), links=tuple(links))
+
+
 def _search_chain(base: WFRelation, lower, upper) -> Optional[ChainEvidence]:
     # backward breadth-first search: shortest chain, predecessor order ties.
     # A reached node is kept as (node, link to its parent, parent), and the
@@ -184,13 +168,7 @@ def _search_chain(base: WFRelation, lower, upper) -> Optional[ChainEvidence]:
     for reached in frontier:
         for element, evidence in base.predecessors(reached[0]):
             if element == lower:
-                nodes, links = [element], [evidence]
-                while reached is not None:
-                    node, link, reached = reached
-                    nodes.append(node)
-                    if reached is not None:
-                        links.append(link)
-                return ChainEvidence(nodes=tuple(nodes), links=tuple(links))
+                return _read_chain((element, evidence, reached))
             if first_visit(seen, unhashable, element):
                 frontier.append((element, evidence, reached))
     return None
@@ -202,7 +180,8 @@ def transitive_closure(base: WFRelation) -> WFRelation:
     Deciding a pair searches backward through ``base.predecessors`` when
     available; without an enumeration only single base steps can be found,
     and a failed single step raises because longer chains cannot be ruled
-    out.
+    out.  Recursion walks a chain's links top-down in one loop, one
+    ``base.wfrec`` callback per link, so termination is inherited.
     """
     name = f"closure({base.carrier})"
 
@@ -232,16 +211,19 @@ def transitive_closure(base: WFRelation) -> WFRelation:
 
     def recursor(step, a):
         def s(x, ih):
-            # ih(y, base_evidence) is the chain handler below y
+            # ih(y, base_evidence) is the chain handler at y, which keeps
+            # the base callback it was built with as ``below``
             def handle(x_next, chain):
                 value = step.recall(x_next)  # the value needs no chain walk
                 if value is not _MISS:
                     return value
-                case = split_chain(chain)
-                if isinstance(case, ChainSingle):
-                    return step(x_next, ih(x_next, case.evidence))
-                return ih(case.mid, case.last)(x_next, case.prefix)
+                nodes, links = chain.nodes, chain.links
+                below = ih
+                for k in range(len(links) - 1, 0, -1):  # top link first
+                    below = below(nodes[k], links[k]).below
+                return step(x_next, below(x_next, links[0]))
 
+            handle.below = ih
             return handle
 
         return step(a, base.wfrec(s, a))
@@ -264,19 +246,20 @@ def finite_power_decide(base: WFRelation, n: int, lower, upper) -> Optional[Chai
         raise UndecidableError("finite powers need a predecessor enumeration")
     if n == 0:
         return EQUAL if lower == upper else None
-
-    def down(nodes, links, remaining):
-        if remaining == 0:
-            if nodes[0] == lower:
-                return ChainEvidence(nodes=nodes, links=links)
-            return None
-        for element, evidence in base.predecessors(nodes[0]):
-            chain = down((element,) + nodes, (evidence,) + links, remaining - 1)
-            if chain is not None:
-                return chain
-        return None
-
-    return down((upper,), (), n)
+    # depth-first: per path step, a predecessor iterator and its node's record
+    pending = [(iter(base.predecessors(upper)), (upper, None, None))]
+    while pending:
+        below, path = pending[-1]
+        for element, evidence in below:
+            reached = (element, evidence, path)
+            if len(pending) < n:
+                pending.append((iter(base.predecessors(element)), reached))
+                break
+            if element == lower:
+                return _read_chain(reached)
+        else:
+            pending.pop()
+    return None
 
 
 def refl_trans_reachable(base: WFRelation, lower, upper) -> bool:

@@ -145,7 +145,10 @@ def parse_ordinal(text: str, depth_limit: int = 64) -> OrdinalNotation:
             pos += 1
         if start == pos:
             raise ParseError("expected a number", start)
-        return int(text[start:pos])
+        try:
+            return int(text[start:pos])
+        except ValueError:  # too many digits for int(), or one it cannot read
+            raise ParseError(f"cannot read the {pos - start}-digit number", start) from None
 
     def atom(depth: int) -> OrdinalNotation:
         nonlocal pos

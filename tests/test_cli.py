@@ -201,3 +201,126 @@ def test_inputs_outside_the_carriers_are_json_errors(capsys, argv, expected):
     code, out, _err = run(capsys, "--json", *argv)
     assert code == expected
     assert list(json.loads(out)) == ["error"]
+
+
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ord", "normalize", BIG),
+        ("ord", "compare", BIG, "w"),
+        ("chain", "nat", BIG),
+        ("chain", "pow-nat", BIG + ",1"),
+        ("chain", "multiset-nat", BIG),
+        ("demo", "fib", BIG),
+        ("demo", "ackermann", BIG, "1"),
+        ("pow", "compare", BIG, "1"),
+        ("--depth-limit", "100000", "ord", "normalize", "w^(" * 400 + "w" + ")" * 400),
+        ("--depth-limit", "100000", "ord", "normalize", "w^(" * 2000 + "w" + ")" * 2000),
+    ],
+    ids=[
+        "ord-normalize-digits",
+        "ord-compare-digits",
+        "nat-chain-digits",
+        "pow-chain-digits",
+        "multiset-chain-digits",
+        "fib-digits",
+        "ackermann-digits",
+        "pow-compare-digits",
+        "ord-nesting-400",
+        "ord-nesting-2000",
+    ],
+)
+def test_huge_numerals_and_deep_nesting_keep_the_json_contract(capsys, argv):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = run(capsys, "--json", *argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code in (0, 1, 2, 3)
+    payload = json.loads(out)  # exactly one JSON value, or this raises
+    assert isinstance(payload, dict) and ("error" in payload) == (code != 0)
+    for stream in (out, err):
+        assert "Traceback" not in stream and "set_int_max_str_digits" not in stream
+
+
+# outputs of `wf --json` captured before the chain walk became a loop
+SEEDED_CHAINS = {
+    ("nat", "30", 0): (
+        '{"chain": ["30", "27", "12", "6", "0"], "length": 5}'
+    ),
+    ("nat", "30", 1): (
+        '{"chain": ["30", "4", "0"], "length": 3}'
+    ),
+    ("nat", "30", 2): (
+        '{"chain": ["30", "27", "1", "0"], "length": 4}'
+    ),
+    ("pow-nat", "5,3,1,0", 0): (
+        '{"chain": ["5,3,1,0", "2,1", "1", "(empty)"], "length": 4}'
+    ),
+    ("pow-nat", "5,3,1,0", 1): (
+        '{"chain": ["5,3,1,0", "5,2", "5,1,0", "3,2,1", "3", "2,1,0", '
+        '"0", "(empty)"], "length": 8}'
+    ),
+    ("pow-nat", "5,3,1,0", 2): (
+        '{"chain": ["5,3,1,0", "5,3,1", "5,1,0", "1,0", "1", '
+        '"(empty)"], "length": 6}'
+    ),
+    ("multiset-nat", "3,1", 0): (
+        '{"chain": ["3,1", "2,2,2,2,0", "2,1,0,0", "1,1,0,0,0", '
+        '"0,0,0", "(empty)"], "length": 6}'
+    ),
+    ("multiset-nat", "3,1", 1): (
+        '{"chain": ["3,1", "3,0", "0,0,0,0,0", "(empty)"], '
+        '"length": 4}'
+    ),
+    ("multiset-nat", "3,1", 2): (
+        '{"chain": ["3,1", "1,1,1,1,1", "0", "(empty)"], "length": 4}'
+    ),
+    ("ord", "w^2*2+w*3+4", 0): (
+        '{"chain": ["w^2*2 + w*3 + 4", "w^2*2 + w*3", "w^2*2 + w*2", '
+        '"w^2*2 + w + 3", "w^2*2 + w", "w^2*2", "w^2", "0"], '
+        '"length": 8}'
+    ),
+    ("ord", "w^2*2+w*3+4", 1): (
+        '{"chain": ["w^2*2 + w*3 + 4", "w^2*2 + w*3 + 3", '
+        '"w^2*2 + w*3 + 2", "w^2*2 + w*3", "w^2*2 + w*2 + 3", '
+        '"w^2*2 + w*2", "w^2*2 + w", "w^2*2", "w^2", "0"], '
+        '"length": 10}'
+    ),
+    ("ord", "w^2*2+w*3+4", 2): (
+        '{"chain": ["w^2*2 + w*3 + 4", "w^2*2 + w*3 + 3", '
+        '"w^2*2 + w*3 + 2", "w^2*2 + w*3 + 1", "w^2*2 + w*3", '
+        '"w^2*2 + w*2 + 2", "w^2*2 + w*2", "w^2*2 + w + 1", '
+        '"w^2*2 + w", "w^2*2 + 3", "w^2*2 + 2", "w^2*2", "w^2", "0"], '
+        '"length": 14}'
+    ),
+}
+CHECK_OUTPUT = (
+    '{"ok": true, "results": [{"name": "strictness", "ok": true, "detail": ""}, {'
+    '"name": "recursion-equations", "ok": true, "detail": ""}, {'
+    '"name": "uniqueness", "ok": true, "detail": ""}, {'
+    '"name": "closure-reachability", "ok": true, "detail": ""}, {'
+    '"name": "naive-comparators", "ok": true, "detail": ""}, {'
+    '"name": "power-rank", "ok": true, "detail": ""}, {'
+    '"name": "multiset-oracle", "ok": true, "detail": ""}, {'
+    '"name": "tree-characterization", "ok": true, "detail": ""}, {'
+    '"name": "ordinal-agreement", "ok": true, "detail": ""}, {'
+    '"name": "programs", "ok": true, "detail": ""}, {'
+    '"name": "descent-fuzzing", "ok": true, "detail": ""}]}'
+)
+
+
+@pytest.mark.parametrize("order, start, seed", sorted(SEEDED_CHAINS))
+def test_seeded_chain_output_is_pinned(capsys, order, start, seed):
+    code, out, _ = run(capsys, "--json", "chain", order, start, "--seed", str(seed))
+    assert (code, out) == (0, SEEDED_CHAINS[order, start, seed])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_check_output_is_pinned(capsys, seed):
+    code, out, _ = run(capsys, "--json", "check", "--seed", str(seed))
+    assert (code, out) == (0, CHECK_OUTPUT)

@@ -8,8 +8,6 @@ from hypothesis import given, strategies as st
 
 from wellfounded import (
     EQUAL,
-    ChainSingle,
-    ChainSplit,
     EvidenceError,
     Inl,
     Inr,
@@ -28,12 +26,12 @@ from wellfounded import (
     nat_less_decide,
     pow_relation,
     refl_trans_reachable,
-    split_chain,
     subrelation,
     transitive_closure,
     validate_chain,
     validated_evidence,
     wfrec,
+    with_enumerated_predecessors,
 )
 from wellfounded import combinators
 from wellfounded.checks import (
@@ -45,7 +43,7 @@ from wellfounded.checks import (
     properly_divides,
     random_dag,
 )
-from wellfounded.combinators import ChainEvidence, lex_second, single_step
+from wellfounded.combinators import ChainEvidence, lex_second
 
 
 class TestSubrelation:
@@ -266,27 +264,6 @@ class TestTransitiveClosure:
         assert report.ok
 
 
-class TestSplitChain:
-    def test_single_link(self):
-        chain = single_step(0, 1, EQUAL)
-        case = split_chain(chain)
-        assert isinstance(case, ChainSingle) and case.evidence is EQUAL
-
-    def test_two_links_split_off_the_last(self):
-        chain = ChainEvidence(nodes=(0, 1, 2), links=(EQUAL, EQUAL))
-        case = split_chain(chain)
-        assert isinstance(case, ChainSplit)
-        assert case.mid == 1
-        assert case.prefix.nodes == (0, 1)
-
-    def test_round_trip_endpoints(self):
-        chain = ChainEvidence(nodes=(0, 1, 2, 5), links=(EQUAL,) * 3)
-        case = split_chain(chain)
-        assert case.prefix.lower == chain.lower
-        assert case.prefix.upper == case.mid
-        assert chain.upper == 5
-
-
 class TestFinitePowers:
     def base(self):
         return TestTransitiveClosure().base()
@@ -319,6 +296,48 @@ class TestFinitePowers:
                         assert (
                             finite_power_decide(rel, n, low, up) is not None
                         ) == paths(low, up, n)
+
+    def test_long_chain_takes_no_frame_per_step(self):
+        succ = WFRelation(
+            carrier="succ",
+            decide=lambda low, up: EQUAL if low + 1 == up else None,
+            predecessors=lambda up: ((up - 1, EQUAL),) if up > 0 else (),
+        )
+        chain = finite_power_decide(succ, 3000, 0, 3000)
+        assert chain.nodes == tuple(range(3001)) and len(chain) == 3000
+
+
+def recursive_finite_power(base, n, lower, upper):
+    # the recursive definition: the first path of exactly n steps found
+    # depth-first through the predecessors, in their enumeration order
+    if n == 0:
+        return EQUAL if lower == upper else None
+
+    def down(nodes, links, remaining):
+        if remaining == 0:
+            return ChainEvidence(nodes, links) if nodes[0] == lower else None
+        for element, evidence in base.predecessors(nodes[0]):
+            chain = down((element,) + nodes, (evidence,) + links, remaining - 1)
+            if chain is not None:
+                return chain
+        return None
+
+    return down((upper,), (), n)
+
+
+@given(st.integers(0, 2**32), st.integers(0, 8), st.floats(0.2, 0.9))
+def test_finite_power_agrees_with_the_recursive_definition(seed, size, density):
+    # predecessors come in a shuffled order, so ties between paths of the
+    # same length are decided by the enumeration order
+    rng = random.Random(seed)
+    rel, _ = random_dag(rng, size, density)
+    rel = with_enumerated_predecessors(rel, rng.sample(range(size), size))
+    for n in range(6):
+        for low in range(size):
+            for up in range(size):
+                assert finite_power_decide(rel, n, low, up) == (
+                    recursive_finite_power(rel, n, low, up)
+                )
 
 
 class TestReflTransReachable:

@@ -433,6 +433,27 @@ class TestPowRelation:
             sys.setrecursionlimit(limit)
         assert length == 2000
 
+    def test_one_call_into_a_long_extension_takes_no_frame_per_link(self, monkeypatch):
+        # from [1500] into 1499..0: the closure handler walks the 1500-link
+        # chain below 1500 in a loop, not one nested call per link
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        power = pow_relation(NAT)
+        top = descending(NAT, (1500,))
+        lower = descending(NAT, range(1499, -1, -1))
+        evidence = power.decide(lower, top)
+
+        def step(z, rec):
+            if z == top:
+                return rec(lower, evidence) + 1
+            return len(z.elements)
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert wfrec(power, step, top) == 1501
+        finally:
+            sys.setrecursionlimit(limit)
+
     def test_long_list_holds_no_prefix_copies(self):
         # a step that never recurses keeps one handler per element alive,
         # not a prefix copy per element
