@@ -37,11 +37,12 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload))
-    else:
-        print(text)
+def _emit(args, payload: dict, text: object) -> None:
+    try:
+        line = json.dumps(payload) if args.json else str(text)
+    except ValueError:  # str() refuses integers past the interpreter's digit limit
+        raise ValueError("cannot print a result past the interpreter's digit limit") from None
+    print(line)
 
 
 def _fail(args, message: str, code: int) -> int:
@@ -106,7 +107,7 @@ def _cmd_demo(args) -> int:
         value = ackermann(m, n)
     else:
         value = fib(parse_nat(args.values[0]))
-    _emit(args, {"result": value}, str(value))
+    _emit(args, {"result": value}, value)
     return EXIT_OK
 
 

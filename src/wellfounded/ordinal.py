@@ -10,11 +10,12 @@ comparison path that the test suite plays off against direct comparison.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Tuple
 
 from .combinators import Inl, Inr
-from .derived import Multiset, NestedMultiset, lift_payload, nm_atom
+from .derived import Multiset, NestedMultiset
 
 
 class Ordering(enum.Enum):
@@ -23,9 +24,12 @@ class Ordering(enum.Enum):
     GT = "GT"
 
 
+_LT, _EQ, _GT = Ordering.LT, Ordering.EQ, Ordering.GT  # a global read is cheaper than an enum lookup
+
+
 @dataclass(frozen=True)
 class OrdinalNotation:
-    """Cantor normal form: exponent/coefficient terms, exponents decreasing."""
+    """Cantor normal form, checked here: exponents decrease, coefficients are positive."""
 
     terms: Tuple[Tuple["OrdinalNotation", int], ...] = ()
 
@@ -34,7 +38,7 @@ class OrdinalNotation:
             if coefficient < 1:
                 raise ValueError("coefficients must be positive")
         for (left, _), (right, _) in zip(self.terms, self.terms[1:]):
-            if compare(right, left) is not Ordering.LT:
+            if compare(right, left) is not _LT:
                 raise ValueError("exponents must strictly decrease")
 
     def __repr__(self) -> str:
@@ -42,7 +46,14 @@ class OrdinalNotation:
 
     def __lt__(self, other: "OrdinalNotation") -> bool:
         """The order of ``compare``, so that notations sort."""
-        return compare(self, other) is Ordering.LT
+        return compare(self, other) is _LT
+
+
+def _normal_form(terms: tuple) -> OrdinalNotation:
+    """A notation from terms already proven normal, without a second check."""
+    notation = object.__new__(OrdinalNotation)
+    object.__setattr__(notation, "terms", terms)
+    return notation
 
 
 ZERO_ORD = OrdinalNotation(())
@@ -51,7 +62,7 @@ ZERO_ORD = OrdinalNotation(())
 def from_nat(n: int) -> OrdinalNotation:
     if n < 0:
         raise ValueError("no notation for negative numbers")
-    return ZERO_ORD if n == 0 else OrdinalNotation(((ZERO_ORD, n),))
+    return ZERO_ORD if n == 0 else _normal_form(((ZERO_ORD, n),))
 
 
 ONE = from_nat(1)
@@ -65,15 +76,15 @@ def omega_power(exponent: OrdinalNotation, coefficient: int = 1) -> OrdinalNotat
 def compare(a: OrdinalNotation, b: OrdinalNotation) -> Ordering:
     """Total order on normal forms: terms compare lexicographically with
     recursive exponent comparison; a proper prefix is smaller."""
+    if a is b:  # ZERO_ORD, ONE and OMEGA are shared
+        return _EQ
     for (exp_a, coeff_a), (exp_b, coeff_b) in zip(a.terms, b.terms):
         exponents = compare(exp_a, exp_b)
-        if exponents is not Ordering.EQ:
+        if exponents is not _EQ:
             return exponents
         if coeff_a != coeff_b:
-            return Ordering.LT if coeff_a < coeff_b else Ordering.GT
-    if len(a.terms) != len(b.terms):
-        return Ordering.LT if len(a.terms) < len(b.terms) else Ordering.GT
-    return Ordering.EQ
+            return _LT if coeff_a < coeff_b else _GT
+    return _EQ if len(a.terms) == len(b.terms) else _LT if len(a.terms) < len(b.terms) else _GT
 
 
 def normalize(terms) -> OrdinalNotation:
@@ -81,7 +92,7 @@ def normalize(terms) -> OrdinalNotation:
 
     A prefix with a lower exponent is absorbed by a following term of
     higher or equal exponent; equal adjacent exponents merge coefficients;
-    zero coefficients vanish.
+    zero coefficients vanish.  The result is normal by construction.
     """
     result: list = []
     for exponent, coefficient in terms:
@@ -89,13 +100,16 @@ def normalize(terms) -> OrdinalNotation:
             raise ValueError("coefficients cannot be negative")
         if coefficient == 0:
             continue
-        while result and compare(result[-1][0], exponent) is Ordering.LT:
+        while result:
+            order = compare(result[-1][0], exponent)
+            if order is not _LT:
+                break
             result.pop()
-        if result and result[-1][0] == exponent:
+        if result and order is _EQ:
             result[-1] = (exponent, result[-1][1] + coefficient)
         else:
             result.append((exponent, coefficient))
-    return OrdinalNotation(tuple(result))
+    return _normal_form(tuple(result))
 
 
 def add(a: OrdinalNotation, b: OrdinalNotation) -> OrdinalNotation:
@@ -109,6 +123,7 @@ def add(a: OrdinalNotation, b: OrdinalNotation) -> OrdinalNotation:
 #   term    := 'w' ('^' atom)? ('*' nat)? | nat ;
 #   atom    := nat | 'w' | '(' ordinal ')' ;
 #   nat     := [0-9]+ .
+_TOKEN = re.compile(r"[^\s()^*+w]+|\S")  # a run of other characters, or one syntax character
 
 
 class ParseError(ValueError):
@@ -118,117 +133,93 @@ class ParseError(ValueError):
 
 
 def parse_ordinal(text: str, depth_limit: int = 64) -> OrdinalNotation:
-    """Parse a notation; whitespace-insensitive, errors carry the position."""
-    pos = 0
-    end = len(text)
+    """Parse a notation; whitespace separates tokens but cannot split a
+    number, and errors carry the position."""
+    tokens = _TOKEN.findall(text) + [""]  # "" marks the end; nothing steps past it
+    i = 0
 
-    def skip():
-        nonlocal pos
-        while pos < end and text[pos].isspace():
-            pos += 1
+    def error(message: str, after: bool = False) -> ParseError:
+        position = 0  # at the start of the next token, or ``after`` the last one read
+        for token in tokens[:i]:
+            position = text.index(token, position) + len(token)
+        if not after:
+            position = text.index(tokens[i], position) if tokens[i] else len(text)
+        return ParseError(message, position)
 
-    def peek() -> str:
-        skip()
-        return text[pos] if pos < end else ""
-
-    def take(expected: str):
-        nonlocal pos
-        if peek() != expected:
-            raise ParseError(f"expected {expected!r}", pos)
-        pos += 1
-
-    def nat() -> int:
-        nonlocal pos
-        skip()
-        start = pos
-        while pos < end and text[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise ParseError("expected a number", start)
+    def nat(expected: str) -> int:
+        nonlocal i
+        token = tokens[i]
+        if not token[:1].isdigit():
+            raise error(f"expected {expected}")
+        if not token.isdigit():  # digits run into other characters: split them off
+            digits = next(k for k, char in enumerate(token) if not char.isdigit())
+            token = token[:digits]
+            tokens[i : i + 1] = token, tokens[i][digits:]
         try:
-            return int(text[start:pos])
+            value = int(token)
         except ValueError:  # too many digits for int(), or one it cannot read
-            raise ParseError(f"cannot read the {pos - start}-digit number", start) from None
+            raise error(f"cannot read the {len(token)}-digit number") from None
+        i += 1
+        return value
 
     def atom(depth: int) -> OrdinalNotation:
-        nonlocal pos
-        head = peek()
-        if head == "(":
-            take("(")
-            inner = ordinal(depth + 1)
-            take(")")
-            return inner
-        if head == "w":
-            pos += 1
+        nonlocal i
+        if tokens[i] == "w":
+            i += 1
             return OMEGA
-        if head.isdigit():
-            return from_nat(nat())
-        raise ParseError("expected an exponent", pos)
-
-    def term(depth: int):
-        nonlocal pos
-        head = peek()
-        if head == "w":
-            pos += 1
-            exponent = ONE
-            if peek() == "^":
-                pos += 1
-                exponent = atom(depth)
-            coefficient = 1
-            if peek() == "*":
-                pos += 1
-                coefficient = nat()
-            return exponent, coefficient
-        if head.isdigit():
-            return ZERO_ORD, nat()
-        raise ParseError("expected a term", pos)
+        if tokens[i] != "(":
+            return from_nat(nat("an exponent"))
+        i += 1
+        inner = ordinal(depth + 1)
+        if tokens[i] != ")":
+            raise error("expected ')'")
+        i += 1
+        return inner
 
     def ordinal(depth: int) -> OrdinalNotation:
+        nonlocal i
         if depth > depth_limit:
-            raise ParseError(f"nesting deeper than {depth_limit}", pos)
-        terms = [term(depth)]
-        while peek() == "+":
-            take("+")
-            terms.append(term(depth))
-        return normalize(terms)
+            raise error(f"nesting deeper than {depth_limit}", after=True)
+        terms = []
+        while True:
+            if tokens[i] != "w":
+                terms.append((ZERO_ORD, nat("a term")))
+            else:
+                i += 1
+                exponent, coefficient = ONE, 1
+                if tokens[i] == "^":
+                    i += 1
+                    exponent = atom(depth)
+                if tokens[i] == "*":
+                    i += 1
+                    coefficient = nat("a number")
+                terms.append((exponent, coefficient))
+            if tokens[i] != "+":
+                return normalize(terms)
+            i += 1
 
     parsed = ordinal(0)
-    skip()
-    if pos != end:
-        raise ParseError("unexpected trailing input", pos)
+    if tokens[i]:
+        raise error("unexpected trailing input")
     return parsed
-
-
-def _is_finite(o: OrdinalNotation) -> bool:
-    return not o.terms or (len(o.terms) == 1 and o.terms[0][0] == ZERO_ORD)
-
-
-def _atom_text(exponent: OrdinalNotation) -> str:
-    if _is_finite(exponent):
-        return str(exponent.terms[0][1]) if exponent.terms else "0"
-    if exponent == OMEGA:
-        return "w"
-    return "(" + format_ordinal(exponent) + ")"
 
 
 def format_ordinal(o: OrdinalNotation) -> str:
     """Canonical text: unit coefficients omitted, exponent one is a bare
     ``w``, exponent zero prints as the bare coefficient."""
-    if not o.terms:
-        return "0"
     parts = []
     try:
         for exponent, coefficient in o.terms:
-            if exponent == ZERO_ORD:
+            power = format_ordinal(exponent)
+            if power == "0":
                 parts.append(str(coefficient))
                 continue
-            text = "w" if exponent == ONE else "w^" + _atom_text(exponent)
-            if coefficient != 1:
-                text += f"*{coefficient}"
-            parts.append(text)
+            bare = power.isdigit() or power == "w"
+            text = "w" if power == "1" else f"w^{power}" if bare else f"w^({power})"
+            parts.append(text if coefficient == 1 else f"{text}*{coefficient}")
     except ValueError:  # str() refuses integers past the interpreter's digit limit
         raise ValueError("cannot print a coefficient past the interpreter's digit limit") from None
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -250,30 +241,39 @@ def to_nested(o: OrdinalNotation) -> NestedMultiset:
     as the count of its translated exponent.  Exponents in normal form
     arrive strictly decreasing, which keeps the member keys descending.
     """
+    return NestedMultiset(*_to_layer(o))
+
+
+def _to_layer(o: OrdinalNotation) -> tuple:  # (depth, payload)
     if not o.terms:
-        return nm_atom(UNIT)
-    members = [(to_nested(exponent), coefficient) for exponent, coefficient in o.terms]
-    depth = 1 + max(member.depth for member, _count in members)
-    entries = tuple(
-        (lift_payload(member.payload, depth - 1 - member.depth), count)
-        for member, count in members
-    )
-    return NestedMultiset(depth=depth, payload=Inr(Multiset(entries=entries)))
+        return 0, UNIT
+    entries = []
+    for exponent, count in o.terms:
+        inner, payload = _to_layer(exponent)
+        if not entries:  # the first exponent is the largest, so the deepest
+            depth = inner + 1
+        while inner < depth - 1:
+            inner, payload = inner + 1, Inl(payload)
+        entries.append((payload, count))
+    return depth, Inr(Multiset(tuple(entries)))
 
 
 def from_nested(value: NestedMultiset) -> OrdinalNotation:
     """Inverse of ``to_nested`` on canonical values."""
-    if value.depth == 0:
-        if value.payload != UNIT:
+    return _from_layer(value.depth, value.payload)
+
+
+def _from_layer(depth: int, payload) -> OrdinalNotation:
+    if depth <= 0:  # below 0 when a key is lifted past the atom layer
+        if depth or payload != UNIT:
             raise ValueError("expected the unit atom at depth 0")
         return ZERO_ORD
-    if isinstance(value.payload, Inl):
+    if isinstance(payload, Inl):
         raise ValueError("not stored at minimal depth")
     terms = []
-    for key, count in value.payload.value.entries:
-        inner_depth, node = value.depth - 1, key
-        while isinstance(node, Inl):
-            inner_depth, node = inner_depth - 1, node.value
-        exponent = from_nested(NestedMultiset(depth=inner_depth, payload=node))
-        terms.append((exponent, count))
+    for key, count in payload.value.entries:
+        inner = depth - 1
+        while isinstance(key, Inl):
+            inner, key = inner - 1, key.value
+        terms.append((_from_layer(inner, key), count))
     return OrdinalNotation(tuple(terms))

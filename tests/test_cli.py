@@ -208,7 +208,7 @@ def test_inputs_outside_the_carriers_are_json_errors(capsys, argv, expected):
 
 
 BIG = "9" * 5000
-SUM_DIGITS = "9" * 4300  # two of them add up to one digit more than str() prints
+SUM_DIGITS = "9" * 4300  # it plus itself, or plus one, has one digit more than str() prints
 
 
 @pytest.mark.parametrize(
@@ -226,6 +226,7 @@ SUM_DIGITS = "9" * 4300  # two of them add up to one digit more than str() print
         ("--depth-limit", "100000", "ord", "normalize", "w^(" * 2000 + "w" + ")" * 2000),
         ("ord", "normalize", f"{SUM_DIGITS}+{SUM_DIGITS}"),
         ("chain", "ord", f"w*{SUM_DIGITS}+w*{SUM_DIGITS}"),
+        ("demo", "ackermann", "0", SUM_DIGITS),
     ],
     ids=[
         "ord-normalize-digits",
@@ -240,6 +241,7 @@ SUM_DIGITS = "9" * 4300  # two of them add up to one digit more than str() print
         "ord-nesting-2000",
         "ord-normalize-sum-digits",
         "ord-chain-sum-digits",
+        "ackermann-result-digits",
     ],
 )
 def test_huge_numerals_and_deep_nesting_keep_the_json_contract(capsys, argv):

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wellfounded import (
     OMEGA,
@@ -23,7 +23,9 @@ from wellfounded import (
 )
 from wellfounded import checks
 from wellfounded.checks import PROPERTIES, random_notation
-from wellfounded.ordinal import ONE, add, from_nat, normalize, omega_power
+from wellfounded.combinators import Inl, Inr
+from wellfounded.derived import Multiset, NestedMultiset
+from wellfounded.ordinal import ONE, UNIT, add, from_nat, normalize, omega_power
 
 
 class TestCompare:
@@ -135,6 +137,147 @@ class TestParsePrint:
             assert parse_ordinal(format_ordinal(notation)) == notation
 
 
+def scan_ordinal(text: str, depth_limit: int) -> OrdinalNotation:
+    """The character scanner that parse_ordinal replaced, kept as its oracle."""
+    pos = 0
+    end = len(text)
+
+    def skip():
+        nonlocal pos
+        while pos < end and text[pos].isspace():
+            pos += 1
+
+    def peek() -> str:
+        skip()
+        return text[pos] if pos < end else ""
+
+    def take(expected: str):
+        nonlocal pos
+        if peek() != expected:
+            raise ParseError(f"expected {expected!r}", pos)
+        pos += 1
+
+    def nat() -> int:
+        nonlocal pos
+        skip()
+        start = pos
+        while pos < end and text[pos].isdigit():
+            pos += 1
+        if start == pos:
+            raise ParseError("expected a number", start)
+        try:
+            return int(text[start:pos])
+        except ValueError:
+            raise ParseError(f"cannot read the {pos - start}-digit number", start) from None
+
+    def atom(depth: int) -> OrdinalNotation:
+        nonlocal pos
+        head = peek()
+        if head == "(":
+            take("(")
+            inner = ordinal(depth + 1)
+            take(")")
+            return inner
+        if head == "w":
+            pos += 1
+            return OMEGA
+        if head.isdigit():
+            return from_nat(nat())
+        raise ParseError("expected an exponent", pos)
+
+    def term(depth: int):
+        nonlocal pos
+        head = peek()
+        if head == "w":
+            pos += 1
+            exponent = ONE
+            if peek() == "^":
+                pos += 1
+                exponent = atom(depth)
+            coefficient = 1
+            if peek() == "*":
+                pos += 1
+                coefficient = nat()
+            return exponent, coefficient
+        if head.isdigit():
+            return ZERO_ORD, nat()
+        raise ParseError("expected a term", pos)
+
+    def ordinal(depth: int) -> OrdinalNotation:
+        if depth > depth_limit:
+            raise ParseError(f"nesting deeper than {depth_limit}", pos)
+        terms = [term(depth)]
+        while peek() == "+":
+            take("+")
+            terms.append(term(depth))
+        return normalize(terms)
+
+    parsed = ordinal(0)
+    skip()
+    if pos != end:
+        raise ParseError("unexpected trailing input", pos)
+    return parsed
+
+
+def outcome(parse, text: str, depth_limit: int):
+    try:
+        return "ok", parse(text, depth_limit)
+    except ParseError as error:
+        return "error", str(error), error.position
+
+
+ALPHABET = "0123456789\u00b2 \t\u00a0w^*+()"
+SPACES = st.sampled_from(("", "", " ", "\t", "\u00a0", " \u00a0"))
+NUMBERS = st.sampled_from(("0", "1", "7", "12", "\u00b2", "1\u00b2", "99"))
+
+
+@st.composite
+def near_grammar(draw, nesting=4):
+    """Grammatical text with random spacing, then up to two character edits:
+    it reaches the deep parser paths that random characters rarely do."""
+
+    def ordinal(level):
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):
+                terms.append(draw(NUMBERS))
+                continue
+            term = "w"
+            if draw(st.booleans()):
+                nested = level and draw(st.booleans())
+                exponent = "(" + draw(SPACES) + ordinal(level - 1) + ")" if nested else draw(NUMBERS)
+                term += draw(SPACES) + "^" + draw(SPACES) + exponent
+            if draw(st.booleans()):
+                term += draw(SPACES) + "*" + draw(SPACES) + draw(NUMBERS)
+            terms.append(term + draw(SPACES))
+        return ("+" + draw(SPACES)).join(terms)
+
+    text = draw(SPACES) + ordinal(nesting)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([*ALPHABET, ""])) + text[at + draw(st.integers(0, 1)) :]
+    return text
+
+
+class TestParserAgainstScanner:
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(st.one_of(st.text(alphabet=ALPHABET, max_size=16), near_grammar()), st.integers(0, 3))
+    @example("1\u00b2", 3)
+    @example("w^( w)", 0)
+    @example("w^(\u00a0(w)) + 2\u00b2x", 3)
+    @example("w*12x", 3)
+    @example("(w", 3)
+    @example("w^(1 2)", 3)
+    def test_same_notation_or_same_error(self, text, depth_limit):
+        assert outcome(parse_ordinal, text, depth_limit) == outcome(scan_ordinal, text, depth_limit)
+
+    def test_whitespace_cannot_split_a_number(self):
+        with pytest.raises(ParseError) as info:
+            parse_ordinal("1 2")
+        assert info.value.position == 2
+        assert str(info.value) == "unexpected trailing input (at position 2)"
+
+
 class TestNestedView:
     def setup_method(self):
         self.order = nested_multiset_relation(empty_relation("unit"), max_depth=10)
@@ -188,6 +331,49 @@ class TestNestedView:
         for expected_depth in (2, 3, 4):
             assert to_nested(tower).depth == expected_depth
             tower = omega_power(tower)
+
+
+NOTATIONS = st.recursive(
+    st.integers(0, 3).map(from_nat),
+    lambda inner: st.lists(st.tuples(inner, st.integers(0, 3)), max_size=4).map(normalize),
+    max_leaves=12,
+)
+
+
+def rebuilt(notation):
+    """The same notation, with every level through the checking constructor."""
+    return OrdinalNotation(tuple((rebuilt(e), c) for e, c in notation.terms))
+
+
+class TestValidatedOnce:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(NOTATIONS, st.integers(0, 4)), max_size=6))
+    def test_normalize_builds_what_the_constructor_accepts(self, terms):
+        notation = normalize(terms)
+        assert rebuilt(notation) == notation
+        assert parse_ordinal(format_ordinal(notation)) == notation
+
+    ONE_VIEW = to_nested(ONE).payload  # the exponent 1 sits at depth 1
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            NestedMultiset(depth=0, payload=5),
+            NestedMultiset(depth=1, payload=Inr(Multiset(((5, 1),)))),
+            NestedMultiset(depth=2, payload=Inl(ONE_VIEW)),
+            NestedMultiset(depth=2, payload=Inr(Multiset(((ONE_VIEW, 1), (ONE_VIEW, 2))))),
+            NestedMultiset(depth=2, payload=Inr(Multiset(((Inl(UNIT), 1), (ONE_VIEW, 1))))),
+            NestedMultiset(depth=2, payload=Inr(Multiset(((ONE_VIEW, 0),)))),
+            NestedMultiset(depth=1, payload=Inr(Multiset(((Inl(UNIT), 1),)))),
+        ],
+        ids=[
+            "atom", "inner-atom", "lifted-top", "equal-exponents", "rising-exponents", "zero-count",
+            "over-lifted-key",
+        ],
+    )
+    def test_from_nested_rejects_non_canonical_input(self, value):
+        with pytest.raises(ValueError):
+            from_nested(value)
 
 
 class TestAgreementBattery:
