@@ -724,6 +724,7 @@ def parse_nat_list(text: str) -> tuple:
 
 
 _MULTISET_SIZE_CAP = 5
+_MULTISET_KEY_CAP = 30  # a bounded universe of 376,992 multisets, about 150 MB
 
 
 def _bounded_multiset_predecessors(upper: Multiset):
@@ -744,31 +745,21 @@ def _bounded_ordinal_predecessors(upper: OrdinalNotation, nested: bool = False):
     # walks must stay well inside the step budget, so the last exponent is
     # only ever lowered by a single drop or decrement, keeping every chain
     # a few hundred steps at most
-    candidates: list = []
-
-    def note(candidate: OrdinalNotation):
-        if compare(candidate, upper) is Ordering.LT and all(
-            candidate != seen for seen in candidates
-        ):
-            candidates.append(candidate)
-
     terms = upper.terms
     if not terms:
         return ()
     head, last = terms[:-1], terms[-1]
     exponent, coefficient = last
-    note(OrdinalNotation(head))
+    candidates = {OrdinalNotation(head)}
     if coefficient > 1:
-        note(OrdinalNotation(head + ((exponent, coefficient - 1),)))
+        candidates.add(OrdinalNotation(head + ((exponent, coefficient - 1),)))
     if exponent != ZERO_ORD and not nested:
         trimmed = head + ((exponent, coefficient - 1),) if coefficient > 1 else head
-        lower_exponents = [
-            low for low, _e in _bounded_ordinal_predecessors(exponent, nested=True)
-        ]
-        for lower_exponent in lower_exponents:
+        for lower_exponent, _e in _bounded_ordinal_predecessors(exponent, nested=True):
             for repeat in (1, 2, 3):
-                note(ord_mod.normalize(trimmed + ((lower_exponent, repeat),)))
-    return tuple((candidate, EQUAL) for candidate in sorted(candidates, reverse=True))
+                candidates.add(ord_mod.normalize(trimmed + ((lower_exponent, repeat),)))
+    below = (c for c in candidates if compare(c, upper) is Ordering.LT)
+    return tuple((candidate, EQUAL) for candidate in sorted(below, reverse=True))
 
 
 def named_descent_order(name: str) -> NamedOrder:
@@ -809,7 +800,14 @@ def named_descent_order(name: str) -> NamedOrder:
         )
 
         def parse_multiset(text):
-            return multiset_of(nat, parse_nat_list(text))
+            items = parse_nat_list(text)
+            count = _capped_multiset_count(max(items, default=0))
+            if count > _capped_multiset_count(_MULTISET_KEY_CAP):
+                raise ValueError(
+                    f"the bounded walk below a key above {_MULTISET_KEY_CAP} "
+                    f"would build {count} multisets"
+                )
+            return multiset_of(nat, items)
 
         def bound(start: Multiset):
             max_key = max((key for key, _c in start.entries), default=0)

@@ -157,11 +157,26 @@ def _read_chain(reached) -> ChainEvidence:
     return ChainEvidence(nodes=tuple(nodes), links=tuple(links))
 
 
+def _walk_below(base: WFRelation, roots) -> list:
+    # backward breadth-first walk: one (element, link to its parent, parent)
+    # record per element, the distinct roots first with no parent, then each
+    # element below them once, in predecessor order.  The list is read as a
+    # queue while the loop appends to it.
+    seen, unhashable = set(), []
+    reached = [(root, None, None) for root in roots if first_visit(seen, unhashable, root)]
+    for record in reached:
+        for element, link in base.predecessors(record[0]):
+            if first_visit(seen, unhashable, element):
+                reached.append((element, link, record))
+    return reached
+
+
 def _search_chain(base: WFRelation, lower, upper) -> Optional[ChainEvidence]:
-    # backward breadth-first search: shortest chain, predecessor order ties.
-    # A reached node is kept as (node, link to its parent, parent), and the
-    # chain is read off these parent pointers once ``lower`` turns up.  The
-    # frontier list is read as a queue while the loop appends to it.
+    # ``_walk_below`` from ``upper`` that stops once ``lower`` turns up:
+    # shortest chain, predecessor order ties.  The loop stays inline: built
+    # on a generator over the walk's records, the census-closure operations
+    # of one ``recurse`` benchmark round took 4.6-5.4 ms instead of 2.8-3.8
+    # (unscaled, Python 3.11 on 2 cores).
     seen, unhashable = set(), []
     first_visit(seen, unhashable, upper)
     frontier = [(upper, None, None)]
@@ -180,8 +195,9 @@ def transitive_closure(base: WFRelation) -> WFRelation:
     Deciding a pair searches backward through ``base.predecessors`` when
     available; without an enumeration only single base steps can be found,
     and a failed single step raises because longer chains cannot be ruled
-    out.  Recursion walks a chain's links top-down in one loop, one
-    ``base.wfrec`` callback per link, so termination is inherited.
+    out.  Recursion runs inside one ``base.wfrec`` evaluation and walks a
+    chain's links top-down in one loop, one base callback per link, so
+    termination is inherited.
     """
     name = f"closure({base.carrier})"
 
@@ -196,20 +212,15 @@ def transitive_closure(base: WFRelation) -> WFRelation:
         return single_step(lower, upper, direct)
 
     def predecessors(upper):
-        # breadth-first, with the frontier list read as a queue
-        seen, unhashable = set(), []
-        found, frontier = [], [((upper,), ())]
-        for nodes, links in frontier:
-            for element, evidence in base.predecessors(nodes[0]):
-                if first_visit(seen, unhashable, element):
-                    chain = ChainEvidence(
-                        nodes=(element,) + nodes, links=(evidence,) + links
-                    )
-                    found.append((element, chain))
-                    frontier.append((chain.nodes, chain.links))
-        return tuple(found)
+        return tuple(
+            (record[0], _read_chain(record)) for record in _walk_below(base, (upper,))[1:]
+        )
 
     def recursor(step, a):
+        # the step runs inside the base evaluation, at ``a`` from its first
+        # step, so every base callback is made while that evaluation is open
+        top = [step]
+
         def s(x, ih):
             # ih(y, base_evidence) is the chain handler at y, which keeps
             # the base callback it was built with as ``below``
@@ -224,9 +235,9 @@ def transitive_closure(base: WFRelation) -> WFRelation:
                 return step(x_next, below(x_next, links[0]))
 
             handle.below = ih
-            return handle
+            return top.pop()(a, handle) if top else handle
 
-        return step(a, base.wfrec(s, a))
+        return base.wfrec(s, a)
 
     return WFRelation(
         carrier=name,

@@ -23,7 +23,7 @@ from .core import (
     wfrec,
 )
 from .combinators import inverse_image, lex_first, lex_product, lex_second
-from .wtree import WTree, leaf, subtree_decide, wtree_relation
+from .wtree import WTree, first_occurrences, leaf, wtree_relation
 
 
 def length(items) -> int:
@@ -165,21 +165,15 @@ def expr_substructure() -> WFRelation:
     """Immediate-subexpression order, read off the tree embedding.
 
     The embedding is injective, so deciding on trees decides on
-    expressions; predecessors enumerate the argument list directly.
+    expressions; predecessors are the distinct arguments, each with the
+    index of its first occurrence, the branch index the trees decide.
     """
     trees = wtree_relation()
 
     def predecessors(expression):
         if isinstance(expression, Var):
             return ()
-        tree = expr_to_wtree(expression)
-        found = []
-        for argument in expression.args:
-            if all(argument != seen for seen, _e in found):
-                found.append(
-                    (argument, subtree_decide(expr_to_wtree(argument), tree))
-                )
-        return tuple(found)
+        return first_occurrences(expression.args)
 
     return inverse_image(
         trees, expr_to_wtree, carrier="expr-substructure", predecessors=predecessors

@@ -11,7 +11,7 @@ construction time.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Tuple
 
 from .core import (
@@ -189,12 +189,7 @@ def multiset_relation(rel: WFRelation) -> WFRelation:
     Multiplicities are positive naturals compared by ``<``; the whole thing
     is the finite-function order with counts as values.
     """
-    base = finfun_exp(rel, nat_less())
-    return WFRelation(
-        carrier=f"multiset({rel.carrier})",
-        decide=base.decide,
-        recursor=base.recursor,
-    )
+    return replace(finfun_exp(rel, nat_less()), carrier=f"multiset({rel.carrier})")
 
 
 def dm_oracle(lower: Multiset, upper: Multiset, rel: WFRelation, budget: int = 20000) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from .core import _MISS, EvidenceError, UndecidableError, WFRelation
-from .combinators import ChainEvidence, first_visit, single_step, transitive_closure
+from .combinators import ChainEvidence, _walk_below, single_step, transitive_closure
 
 
 @dataclass(frozen=True)
@@ -251,11 +251,10 @@ def pow_relation(rel: WFRelation) -> WFRelation:
             raise UndecidableError(f"{name}: element relation has no enumeration")
         universe = _downward_closure(rel, upper.elements)
         found = []
-        for elements in _descending_sequences(rel, universe):
+        for elements, steps in _descending_sequences(rel, universe):
             evidence = list_lex_decide(rel, elements, upper.elements)
             if evidence is not None:
-                cert = is_descending(rel, elements)
-                found.append((DescendingList(elements, cert), evidence))
+                found.append((DescendingList(elements, DescentCert(steps)), evidence))
         return tuple(found)
 
     def recursor(step, z: DescendingList):
@@ -333,27 +332,22 @@ def pow_relation(rel: WFRelation) -> WFRelation:
 
 
 def _downward_closure(rel: WFRelation, seeds) -> tuple:
-    # breadth-first: ``closed`` is read as a queue while it grows
-    seen, unhashable = set(), []
-    closed = [seed for seed in seeds if first_visit(seen, unhashable, seed)]
-    for element in closed:
-        closed.extend(
-            below
-            for below, _e in rel.predecessors(element)
-            if first_visit(seen, unhashable, below)
-        )
-    return tuple(closed)
+    return tuple(record[0] for record in _walk_below(rel, seeds))
 
 
 def _descending_sequences(rel: WFRelation, universe):
-    # every strictly descending sequence drawn from the universe
-    def grow(sequence):
-        yield sequence
+    # every strictly descending sequence drawn from the universe, with the
+    # evidence for each adjacent pair, decided as the sequence grows
+    def grow(sequence, steps):
+        yield sequence, steps
         for element in universe:
-            if not sequence or rel.decide(element, sequence[-1]) is not None:
-                yield from grow(sequence + (element,))
+            evidence = rel.decide(element, sequence[-1])
+            if evidence is not None:
+                yield from grow(sequence + (element,), steps + (evidence,))
 
-    yield from grow(())
+    yield (), ()
+    for element in universe:
+        yield from grow((element,), ())
 
 
 def pow_nat_rank(value: DescendingList) -> int:

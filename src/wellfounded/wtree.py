@@ -126,11 +126,13 @@ def subtree_decide(lower: WTree, upper: WTree) -> Optional[int]:
     return None
 
 
-def _subtree_predecessors(upper: WTree):
+def first_occurrences(items) -> tuple:
+    """Each distinct item once, by ``==``, with the index of its first
+    occurrence: for branches, the index ``subtree_decide`` returns."""
     found = []
-    for branch in upper.branches:
-        if all(branch != seen for seen, _i in found):
-            found.append((branch, subtree_decide(branch, upper)))
+    for index, item in enumerate(items):
+        if all(item != seen for seen, _i in found):
+            found.append((item, index))
     return tuple(found)
 
 
@@ -140,7 +142,7 @@ def wtree_relation() -> WFRelation:
     return WFRelation(
         carrier="wtree",
         decide=subtree_decide,
-        predecessors=_subtree_predecessors,
+        predecessors=lambda upper: first_occurrences(upper.branches),
     )
 
 

@@ -3,10 +3,13 @@ import io
 import json
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wellfounded import multiset_of, nat_less
+from wellfounded.checks import named_descent_order
 from wellfounded.cli import main
 
 
@@ -227,6 +230,7 @@ SUM_DIGITS = "9" * 4300  # it plus itself, or plus one, has one digit more than 
         ("ord", "normalize", f"{SUM_DIGITS}+{SUM_DIGITS}"),
         ("chain", "ord", f"w*{SUM_DIGITS}+w*{SUM_DIGITS}"),
         ("demo", "ackermann", "0", SUM_DIGITS),
+        ("chain", "multiset-nat", "458", "--max-steps", "1"),
     ],
     ids=[
         "ord-normalize-digits",
@@ -242,20 +246,33 @@ SUM_DIGITS = "9" * 4300  # it plus itself, or plus one, has one digit more than 
         "ord-normalize-sum-digits",
         "ord-chain-sum-digits",
         "ackermann-result-digits",
+        "multiset-chain-key-458",
     ],
 )
 def test_huge_numerals_and_deep_nesting_keep_the_json_contract(capsys, argv):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
+    started = time.perf_counter()
     try:
         code, out, err = run(capsys, "--json", *argv)
     finally:
         sys.setrecursionlimit(limit)
+    assert time.perf_counter() - started < 1.0  # refused or answered at once
     assert code in (0, 1, 2, 3)
     payload = json.loads(out)  # exactly one JSON value, or this raises
     assert isinstance(payload, dict) and ("error" in payload) == (code != 0)
     for stream in (out, err):
         assert "Traceback" not in stream and "set_int_max_str_digits" not in stream
+
+
+def test_multiset_chain_starts_are_capped_at_key_30():
+    # the bounded walk builds every multiset of size at most 5 below the
+    # largest key: 376,992 of them at key 30, 435,897 at key 31
+    order = named_descent_order("multiset-nat")
+    assert order.parse_start("30,2,2") == multiset_of(nat_less(), (30, 2, 2))
+    for text in ("31", "2,458"):
+        with pytest.raises(ValueError, match="above 30"):
+            order.parse_start(text)
 
 
 SMALL = st.integers(0, 40).map(str)

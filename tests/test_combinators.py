@@ -246,6 +246,36 @@ class TestTransitiveClosure:
         assert closure.decide([3], [0]) is None
         assert [element for element, _c in closure.predecessors([3])] == [[2], [1], [0]]
 
+    def test_steps_run_while_the_base_evaluation_is_open(self):
+        late = []  # base callbacks made after the base recursor returned
+
+        def recursor(step, a):
+            done = []
+
+            def rec(x, _evidence):
+                if done:
+                    late.append(x)
+                return step(x, rec)
+
+            try:
+                return step(a, rec)
+            finally:
+                done.append(True)
+
+        succ = WFRelation(
+            carrier="succ",
+            decide=lambda low, up: EQUAL if low + 1 == up else None,
+            predecessors=lambda up: ((up - 1, EQUAL),) if up > 0 else (),
+            recursor=recursor,
+        )
+        closure = transitive_closure(succ)
+
+        def count_down(n, rec):
+            return 0 if n == 0 else rec(n - 1, closure.decide(n - 1, n)) + 1
+
+        assert wfrec(closure, count_down, 30) == 30
+        assert late == []
+
     def test_undecidable_without_enumeration(self):
         bare = WFRelation(
             carrier="bare",
@@ -262,6 +292,49 @@ class TestTransitiveClosure:
             closure, census_step(closure, range(3)), range(3)
         )
         assert report.ok
+
+
+def closure_predecessors_before(base, upper):
+    # the closure's enumeration as written before the shared walk: the
+    # oracle for elements, chains and their order
+    seen, unhashable = set(), []
+    found, frontier = [], [((upper,), ())]
+    for nodes, links in frontier:
+        for element, evidence in base.predecessors(nodes[0]):
+            if combinators.first_visit(seen, unhashable, element):
+                chain = ChainEvidence(
+                    nodes=(element,) + nodes, links=(evidence,) + links
+                )
+                found.append((element, chain))
+                frontier.append((chain.nodes, chain.links))
+    return tuple(found)
+
+
+def as_lists(rel):
+    # the same relation over one-element lists, which are unhashable
+    return WFRelation(
+        carrier=f"lists({rel.carrier})",
+        decide=lambda low, up: rel.decide(low[0], up[0]),
+        predecessors=lambda up: tuple(([low], e) for low, e in rel.predecessors(up[0])),
+    )
+
+
+@given(st.integers(0, 2**32), st.integers(1, 9), st.floats(0.2, 0.9))
+def test_closure_predecessors_match_the_walk_before_the_shared_one(seed, size, density):
+    # evidence names its edge, and predecessors come in a shuffled order
+    rng = random.Random(seed)
+    _rel, edges = random_dag(rng, size, density)
+    named = WFRelation(
+        carrier=f"dag{size}",
+        decide=lambda low, up: (low, up) if (low, up) in edges else None,
+    )
+    rel = with_enumerated_predecessors(named, rng.sample(range(size), size))
+    for base, wrap in ((rel, lambda x: x), (as_lists(rel), lambda x: [x])):
+        closure = transitive_closure(base)
+        for upper in range(size):
+            assert closure.predecessors(wrap(upper)) == (
+                closure_predecessors_before(base, wrap(upper))
+            )
 
 
 class TestFinitePowers:

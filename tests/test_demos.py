@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from wellfounded import (
     App,
@@ -18,8 +18,10 @@ from wellfounded import (
     wfrec,
 )
 from wellfounded.checks import direct_ackermann, iterative_fib
+from wellfounded.wtree import subtree_decide
 from wellfounded.demos import (
     append,
+    expr_to_wtree,
     filter_below_cons,
     filter_list,
     length,
@@ -188,3 +190,37 @@ class TestExpressions:
 
         tree = App("f", (self.x, App("g", (self.y,))))
         assert wfrec(self.sub, size_step, tree) == 4
+
+
+def substructure_predecessors_before(expression):
+    # the enumeration as written before the first-occurrence rule, one tree
+    # per argument: the oracle
+    if isinstance(expression, Var):
+        return ()
+    tree = expr_to_wtree(expression)
+    found = []
+    for argument in expression.args:
+        if all(argument != seen for seen, _e in found):
+            found.append((argument, subtree_decide(expr_to_wtree(argument), tree)))
+    return tuple(found)
+
+
+# few names, so arguments repeat
+expressions = st.recursive(
+    st.sampled_from((Var("x"), Var("y"), App("c"))),
+    lambda inner: st.builds(
+        App, st.sampled_from(("f", "g")), st.lists(inner, max_size=4).map(tuple)
+    ),
+    max_leaves=12,
+)
+
+
+@given(expressions)
+@example(App("f", (Var("y"), Var("x"), Var("y"), App("g", (Var("x"),)), App("g", (Var("x"),)))))
+def test_substructure_predecessors_match_the_tree_decision(expression):
+    found = expr_substructure().predecessors(expression)
+    assert found == substructure_predecessors_before(expression)
+    tree = expr_to_wtree(expression)
+    for argument, index in found:
+        assert index == subtree_decide(expr_to_wtree(argument), tree)
+

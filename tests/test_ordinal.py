@@ -1,4 +1,5 @@
 import itertools
+import random
 import runpy
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wellfounded import (
+    EQUAL,
     OMEGA,
     Ordering,
     OrdinalNotation,
@@ -22,7 +24,7 @@ from wellfounded import (
     to_nested,
 )
 from wellfounded import checks
-from wellfounded.checks import PROPERTIES, random_notation
+from wellfounded.checks import PROPERTIES, _bounded_ordinal_predecessors, random_notation
 from wellfounded.combinators import Inl, Inr
 from wellfounded.derived import Multiset, NestedMultiset
 from wellfounded.ordinal import ONE, UNIT, add, from_nat, normalize, omega_power
@@ -412,6 +414,44 @@ class TestDescent:
             for above, below in zip(chain, chain[1:]):
                 assert compare(below, above) is Ordering.LT
             assert chain[-1] == ZERO_ORD or not chain[-1].terms
+
+
+def bounded_ordinal_predecessors_before(upper, nested=False):
+    # the bounded walk's enumeration as written before it collected its
+    # candidates in a set: the oracle
+    candidates = []
+
+    def note(candidate):
+        if compare(candidate, upper) is Ordering.LT and all(
+            candidate != seen for seen in candidates
+        ):
+            candidates.append(candidate)
+
+    terms = upper.terms
+    if not terms:
+        return ()
+    head, last = terms[:-1], terms[-1]
+    exponent, coefficient = last
+    note(OrdinalNotation(head))
+    if coefficient > 1:
+        note(OrdinalNotation(head + ((exponent, coefficient - 1),)))
+    if exponent != ZERO_ORD and not nested:
+        trimmed = head + ((exponent, coefficient - 1),) if coefficient > 1 else head
+        lower_exponents = [
+            low for low, _e in bounded_ordinal_predecessors_before(exponent, nested=True)
+        ]
+        for lower_exponent in lower_exponents:
+            for repeat in (1, 2, 3):
+                note(normalize(trimmed + ((lower_exponent, repeat),)))
+    return tuple((candidate, EQUAL) for candidate in sorted(candidates, reverse=True))
+
+
+@given(st.integers(0, 2**32), st.integers(0, 4), st.booleans())
+def test_bounded_ordinal_predecessors_match_the_walk_before_the_set(seed, depth, nested):
+    upper = random_notation(random.Random(seed), depth)
+    assert _bounded_ordinal_predecessors(upper, nested) == (
+        bounded_ordinal_predecessors_before(upper, nested)
+    )
 
 
 class TestInvariants:

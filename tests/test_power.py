@@ -1,3 +1,4 @@
+import random
 import sys
 import tracemalloc
 
@@ -26,9 +27,17 @@ from wellfounded import (
     transitive_closure,
     validate_chain,
     wfrec,
+    with_enumerated_predecessors,
 )
-from wellfounded.checks import all_descending_lists
-from wellfounded.power import NIL_BELOW, LexListEvidence, head_equal, head_less
+from wellfounded.checks import all_descending_lists, random_dag
+from wellfounded.combinators import first_visit
+from wellfounded.power import (
+    NIL_BELOW,
+    LexListEvidence,
+    _downward_closure,
+    head_equal,
+    head_less,
+)
 
 NAT = nat_less()
 
@@ -501,3 +510,73 @@ def test_append_is_associative_with_nil_unit(a, b, c):
 @given(nat_lists)
 def test_reverse_involution(items):
     assert tuple(reversed(tuple(reversed(items)))) == items
+
+
+def downward_closure_before(rel, seeds):
+    # the power's universe as computed before the shared walk: the oracle
+    seen, unhashable = set(), []
+    closed = [seed for seed in seeds if first_visit(seen, unhashable, seed)]
+    for element in closed:
+        closed.extend(
+            below
+            for below, _e in rel.predecessors(element)
+            if first_visit(seen, unhashable, below)
+        )
+    return tuple(closed)
+
+
+def pow_predecessors_before(rel, upper):
+    # the power's enumeration before it kept the evidence it decides while
+    # growing each sequence: certificates come from is_descending
+    def grow(sequence):
+        yield sequence
+        for element in universe:
+            if not sequence or rel.decide(element, sequence[-1]) is not None:
+                yield from grow(sequence + (element,))
+
+    universe = downward_closure_before(rel, upper.elements)
+    found = []
+    for elements in grow(()):
+        evidence = list_lex_decide(rel, elements, upper.elements)
+        if evidence is not None:
+            cert = is_descending(rel, elements)
+            found.append((DescendingList(elements, cert), evidence))
+    return tuple(found)
+
+
+def shuffled_dag(rng, size):
+    # predecessors come in a shuffled order, so the walk's order shows
+    rel, _edges = random_dag(rng, size, 0.5)
+    return with_enumerated_predecessors(rel, rng.sample(range(size), size))
+
+
+def random_descent(rng, rel, size):
+    # a strictly descending list: a random top, then random predecessors
+    items = [rng.randrange(size)]
+    while rng.random() < 0.7:
+        below = rel.predecessors(items[-1])
+        if not below:
+            break
+        items.append(rng.choice(below)[0])
+    return descending(rel, items)
+
+
+@given(st.integers(0, 2**32), st.integers(1, 9))
+def test_downward_closure_matches_the_walk_before_the_shared_one(seed, size):
+    rng = random.Random(seed)
+    dag = shuffled_dag(rng, size)
+    for rel in (dag, NAT):
+        seeds = [rng.randrange(size) for _ in range(rng.randrange(4))]
+        assert _downward_closure(rel, seeds) == downward_closure_before(rel, seeds)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 7))
+def test_pow_predecessors_match_the_enumeration_before_kept_evidence(seed, size):
+    rng = random.Random(seed)
+    for rel in (shuffled_dag(rng, size), NAT):
+        upper = random_descent(rng, rel, size)
+        found = pow_relation(rel).predecessors(upper)
+        assert found == pow_predecessors_before(rel, upper)
+        for lower, _evidence in found:
+            assert lower.cert == is_descending(rel, lower.elements)
