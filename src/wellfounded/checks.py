@@ -742,9 +742,9 @@ def _capped_multiset_count(max_key: int) -> int:
 
 
 def _bounded_ordinal_predecessors(upper: OrdinalNotation, nested: bool = False):
-    # walks must stay well inside the step budget, so the last exponent is
-    # only ever lowered by a single drop or decrement, keeping every chain
-    # a few hundred steps at most
+    # walks must stay well inside the step budget, so the last term is only
+    # ever dropped or lowered by one step: every chain stays a few hundred
+    # steps long, and every candidate lies below upper
     terms = upper.terms
     if not terms:
         return ()
@@ -758,8 +758,7 @@ def _bounded_ordinal_predecessors(upper: OrdinalNotation, nested: bool = False):
         for lower_exponent, _e in _bounded_ordinal_predecessors(exponent, nested=True):
             for repeat in (1, 2, 3):
                 candidates.add(ord_mod.normalize(trimmed + ((lower_exponent, repeat),)))
-    below = (c for c in candidates if compare(c, upper) is Ordering.LT)
-    return tuple((candidate, EQUAL) for candidate in sorted(below, reverse=True))
+    return tuple((candidate, EQUAL) for candidate in sorted(candidates, reverse=True))
 
 
 def named_descent_order(name: str) -> NamedOrder:

@@ -189,6 +189,18 @@ def _search_chain(base: WFRelation, lower, upper) -> Optional[ChainEvidence]:
     return None
 
 
+def _inside(base: WFRelation, s, a, finish):
+    # finish(base.wfrec(s, a)), computed before the first step returns, so
+    # every callback that finish makes reaches an evaluation still open
+    pending = [finish]
+
+    def first(x, ih):
+        value = s(x, ih)
+        return pending.pop()(value) if pending else value
+
+    return base.wfrec(first, a)
+
+
 def transitive_closure(base: WFRelation) -> WFRelation:
     """The strict transitive closure of ``base``; evidence is a chain.
 
@@ -217,10 +229,6 @@ def transitive_closure(base: WFRelation) -> WFRelation:
         )
 
     def recursor(step, a):
-        # the step runs inside the base evaluation, at ``a`` from its first
-        # step, so every base callback is made while that evaluation is open
-        top = [step]
-
         def s(x, ih):
             # ih(y, base_evidence) is the chain handler at y, which keeps
             # the base callback it was built with as ``below``
@@ -235,9 +243,9 @@ def transitive_closure(base: WFRelation) -> WFRelation:
                 return step(x_next, below(x_next, links[0]))
 
             handle.below = ih
-            return top.pop()(a, handle) if top else handle
+            return handle
 
-        return base.wfrec(s, a)
+        return _inside(base, s, a, lambda handle: step(a, handle))
 
     return WFRelation(
         carrier=name,

@@ -6,12 +6,12 @@ the carrier to lists whose elements strictly descend repairs this.  A
 ``DescendingList`` pairs the elements with a certificate of that descent,
 and the relation compares underlying lists lexicographically.
 
-The recursion operator works from the rear of the list: it peels the last
-element with a fold over snoc views, and recurses over the *transitive
-closure* of the element order to append smaller elements back one at a
-time.  The four lemma constructions (``prefix_below``,
-``below_append_cases``, ``split_descent``, ``last_element_chain``) supply
-exactly the evidence those appends need.
+The recursion operator runs in one evaluation over the *transitive
+closure* of the element order, started at the list's head: the fold over
+the list and every append of smaller elements go through its callbacks.
+The four lemma constructions (``prefix_below``, ``below_append_cases``,
+``split_descent``, ``last_element_chain``) supply exactly the evidence
+those appends need.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from .core import _MISS, EvidenceError, UndecidableError, WFRelation
-from .combinators import ChainEvidence, _walk_below, single_step, transitive_closure
+from .combinators import ChainEvidence, _inside, _walk_below, single_step, transitive_closure
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,8 @@ def list_lex_decide(rel: WFRelation, lower, upper) -> Optional[LexListEvidence]:
 
 def snoc_fold(nil_case, snoc_case: Callable[[tuple, Any, Any], Any], items):
     """Fold a list from the rear: ``nil_case`` for the empty list, and
-    ``snoc_case(prefix, last, value_for_prefix)`` for each extension.  A
-    ``range`` is folded as it is, so its prefixes are ranges, not copies."""
-    if not isinstance(items, range):
-        items = tuple(items)
+    ``snoc_case(prefix, last, value_for_prefix)`` for each extension."""
+    items = tuple(items)
     value = nil_case
     for position, last in enumerate(items):
         value = snoc_case(items[:position], last, value)
@@ -259,9 +257,9 @@ def pow_relation(rel: WFRelation) -> WFRelation:
 
     def recursor(step, z: DescendingList):
         def q1(x, ih):
-            # ih(y, chain) is the append handler for any y below x in the
-            # closure; the handler for items[:length] + [x] slices its
-            # prefix only when a step recurses through it
+            # ih(y, chain), kept as ``.ih``, is the append handler for any y
+            # below x in the closure; the handler for items[:length] + [x]
+            # slices its prefix only when a step recurses through it
             def append_handler(items, length, below_prefix):
                 def with_cert(cert):
                     def handle(lower: DescendingList, lex_evidence):
@@ -282,6 +280,7 @@ def pow_relation(rel: WFRelation) -> WFRelation:
 
                 return with_cert
 
+            append_handler.ih = ih
             return append_handler
 
         def extend(ih, prefix, below_prefix, x, extension):
@@ -312,16 +311,21 @@ def pow_relation(rel: WFRelation) -> WFRelation:
 
             return handle
 
-        elements = z.elements
+        elements, links = z.elements, z.cert.steps
+        if not elements:
+            return step(z, nothing_below(z.cert))
 
-        def below(_positions, position, below_prefix):
-            # folded over positions, so no prefix is copied
-            return closure.wfrec(q1, elements[position])(
-                elements, position, below_prefix
-            )
+        def fold(handler):
+            # handler appends the head; each later element is reached through
+            # the previous one's closure callback, with its certificate link
+            below_prefix = handler(elements, 0, nothing_below)
+            for k, link in enumerate(links):
+                x = elements[k + 1]
+                handler = handler.ih(x, single_step(x, elements[k], link))
+                below_prefix = handler(elements, k + 1, below_prefix)
+            return step(z, below_prefix(z.cert))
 
-        fold = snoc_fold(nothing_below, below, range(len(elements)))
-        return step(z, fold(z.cert))
+        return _inside(closure, q1, elements[0], fold)
 
     return WFRelation(
         carrier=name,

@@ -276,6 +276,22 @@ class TestTransitiveClosure:
         assert wfrec(closure, count_down, 30) == 30
         assert late == []
 
+        # the power runs its fold and its steps inside one closure
+        # evaluation, and so inside one evaluation of this base
+        less = WFRelation(
+            carrier="less",
+            decide=nat_less_decide,
+            predecessors=nat_less().predecessors,
+            recursor=recursor,
+        )
+        power = pow_relation(less)
+
+        def rank(z, rec):
+            return max((rec(low, e) + 1 for low, e in power.predecessors(z)), default=0)
+
+        assert wfrec(power, rank, descending(less, (5, 3, 1))) == 42
+        assert late == []
+
     def test_undecidable_without_enumeration(self):
         bare = WFRelation(
             carrier="bare",

@@ -17,13 +17,18 @@ from wellfounded import (
     WFRelation,
     check_recursion_equation,
     check_unique_solution,
+    descending,
     empty_relation,
     fuzz_descent,
     nat_less,
     nat_less_decide,
     nat_wfrec,
+    pow_nat_rank,
     validated_evidence,
     wfrec,
+    multiset_of,
+    multiset_relation,
+    pow_relation,
     with_enumerated_predecessors,
 )
 from wellfounded.checks import direct_ackermann, fib_step, iterative_fib
@@ -124,6 +129,16 @@ def right_then_left(z):
     return Inl(z.value - 1) if z.value else None
 
 
+def of_rank(rank):
+    # the descending list of the binary digits of rank, highest first
+    return descending(nat_less(), [e for e in range(12, -1, -1) if rank >> e & 1])
+
+
+def one_zero_fewer(m):
+    count = m.entries[0][1] if m.entries else 0
+    return multiset_of(nat_less(), [0] * (count - 1)) if count else None
+
+
 # name: (order, below, the start that is exactly this many levels deep)
 DESCENTS = {
     "nat": (nat_less(), nat_below, int),
@@ -150,6 +165,16 @@ DESCENTS = {
         ),
         nat_below,
         int,
+    ),
+    "power-rank-drop": (
+        pow_relation(nat_less()),
+        lambda z: of_rank(pow_nat_rank(z) - 1) if z.elements else None,
+        of_rank,
+    ),
+    "multiset-of-zeros": (
+        multiset_relation(nat_less()),
+        one_zero_fewer,
+        lambda levels: multiset_of(nat_less(), [0] * levels),
     ),
 }
 

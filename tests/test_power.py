@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wellfounded import core
 from wellfounded import (
     BelowLeft,
     BelowSplit,
@@ -123,10 +125,6 @@ class TestSnocFold:
     def test_rebuild_identity(self, items):
         rebuilt = snoc_fold((), lambda _prefix, last, acc: acc + (last,), items)
         assert rebuilt == items
-
-    def test_range_prefixes_are_ranges(self):
-        prefixes = snoc_fold((), lambda prefix, _last, acc: acc + (prefix,), range(3))
-        assert prefixes == (range(0), range(1), range(2))
 
     @given(nat_lists)
     def test_snoc_equation(self, items):
@@ -478,6 +476,42 @@ class TestPowRelation:
                 tracemalloc.stop()
 
         assert peak(4000) < 6 * peak(1000)
+
+    def test_long_list_leaves_no_cyclic_garbage_per_element(self):
+        # one closure evaluation serves every element, so what the collector
+        # frees afterwards does not grow with the list
+        top = descending(NAT, range(1999, -1, -1))
+        gc.collect()
+        gc.disable()
+        try:
+            wfrec(pow_relation(NAT), lambda z, _rec: len(z.elements), top)
+            assert gc.collect() < 200
+        finally:
+            gc.enable()
+
+    def test_long_list_keeps_few_objects_alive_per_element(self):
+        top = descending(NAT, range(999, -1, -1))
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            alive = wfrec(
+                pow_relation(NAT), lambda _z, _rec: len(gc.get_objects()) - before, top
+            )
+        finally:
+            gc.enable()
+        assert alive < 20 * 1000
+
+    def test_evaluations_opened_do_not_grow_with_the_list(self):
+        power = pow_relation(NAT)
+
+        def opened(length):
+            top = descending(NAT, range(length - 1, -1, -1))
+            first = next(core._opened)
+            wfrec(power, lambda z, _rec: len(z.elements), top)
+            return next(core._opened) - first
+
+        assert opened(1) == opened(10) == opened(100)
 
     def test_predecessors_cover_exactly_the_lists_below(self):
         power = pow_relation(NAT)
