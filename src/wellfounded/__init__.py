@@ -51,21 +51,14 @@ from .combinators import (
     validate_chain,
 )
 from .power import (
-    BelowLeft,
-    BelowSplit,
     DescendingList,
     DescentCert,
     LexListEvidence,
-    below_append_cases,
     descending,
     is_descending,
-    last_element_chain,
     list_lex_decide,
     pow_nat_rank,
     pow_relation,
-    prefix_below,
-    snoc_fold,
-    split_descent,
 )
 from .wtree import (
     WTree,

@@ -7,20 +7,21 @@ the carrier to lists whose elements strictly descend repairs this.  A
 and the relation compares underlying lists lexicographically.
 
 The recursion operator runs in one evaluation over the *transitive
-closure* of the element order, started at the list's head: the fold over
-the list and every append of smaller elements go through its callbacks.
-The four lemma constructions (``prefix_below``, ``below_append_cases``,
-``split_descent``, ``last_element_chain``) supply exactly the evidence
-those appends need.
+closure* of the element order, started at the list's head, whose value at
+an element is the closure's callback there.  A list's handler keeps the
+callback at each of its elements.  A list below it shares those of the
+common prefix its lexicographic evidence names, and reaches each later
+element with one closure step: the evidence's head witness first, then the
+list's own certificate links.  Each list is walked once, by index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .core import _MISS, EvidenceError, UndecidableError, WFRelation
-from .combinators import ChainEvidence, _inside, _walk_below, single_step, transitive_closure
+from .combinators import _inside, _walk_below, single_step, transitive_closure
 
 
 @dataclass(frozen=True)
@@ -28,9 +29,6 @@ class DescentCert:
     """Certificate that a list strictly descends: one witness per adjacent pair."""
 
     steps: Tuple[Any, ...]
-
-
-EMPTY_CERT = DescentCert(steps=())
 
 
 @dataclass(frozen=True)
@@ -123,110 +121,6 @@ def list_lex_decide(rel: WFRelation, lower, upper) -> Optional[LexListEvidence]:
     return evidence
 
 
-def snoc_fold(nil_case, snoc_case: Callable[[tuple, Any, Any], Any], items):
-    """Fold a list from the rear: ``nil_case`` for the empty list, and
-    ``snoc_case(prefix, last, value_for_prefix)`` for each extension."""
-    items = tuple(items)
-    value = nil_case
-    for position, last in enumerate(items):
-        value = snoc_case(items[:position], last, value)
-    return value
-
-
-# ---------------------------------------------------------------------------
-# Evidence lemmas.
-
-def prefix_below(prefix, suffix, target, evidence: LexListEvidence) -> LexListEvidence:
-    """From ``prefix + suffix`` below ``target``, conclude ``prefix`` below it."""
-    prefix, target = tuple(prefix), tuple(target)
-    common = 0  # equal heads walked so far; each wraps the result in head_equal
-    for _ in prefix:
-        if evidence.kind == "head_less":
-            break
-        if evidence.kind != "head_equal":
-            raise EvidenceError("nil evidence cannot describe a nonempty list")
-        evidence = evidence.rest
-        common += 1
-    else:
-        if common >= len(target):
-            raise EvidenceError("no list lies below the empty list")
-        evidence = NIL_BELOW
-    for _ in range(common):
-        evidence = head_equal(evidence)
-    return evidence
-
-
-@dataclass(frozen=True)
-class BelowLeft:
-    """Case result: the whole list already sits below the left part."""
-
-    evidence: LexListEvidence
-
-
-@dataclass(frozen=True)
-class BelowSplit:
-    """Case result: the list extends the left part, and the extension sits
-    below the right part."""
-
-    extension: Tuple[Any, ...]
-    evidence: LexListEvidence
-
-
-def below_append_cases(lower, left, right, evidence: LexListEvidence):
-    """Case-analyse ``lower`` below ``left + right``.
-
-    Either ``lower`` is below ``left`` outright, or ``lower == left +
-    extension`` with the extension below ``right``.
-    """
-    lower, left = tuple(lower), tuple(left)
-    common = 0  # equal heads walked so far; each wraps the result in head_equal
-    for _ in left:
-        if evidence.kind == "nil_below":
-            evidence = NIL_BELOW
-            break
-        if evidence.kind == "head_less":
-            break
-        evidence = evidence.rest
-        common += 1
-    else:
-        return BelowSplit(extension=lower[common:], evidence=evidence)
-    for _ in range(common):
-        evidence = head_equal(evidence)
-    return BelowLeft(evidence=evidence)
-
-
-def split_descent(prefix, suffix, cert: DescentCert) -> Tuple[DescentCert, DescentCert]:
-    """Split a certificate for ``prefix + suffix`` into one for each part."""
-    prefix, suffix = tuple(prefix), tuple(suffix)
-    if not prefix:
-        return EMPTY_CERT, cert
-    if not suffix:
-        return cert, EMPTY_CERT
-    cut = len(prefix) - 1
-    return (
-        DescentCert(steps=cert.steps[:cut]),
-        DescentCert(steps=cert.steps[cut + 1 :]),
-    )
-
-
-def last_element_chain(prefix, last, bound, cert: DescentCert, evidence: LexListEvidence) -> ChainEvidence:
-    """From ``prefix + [last]`` descending and below ``[bound]``, produce a
-    descent chain ``last < ... < bound`` in the transitive closure.
-
-    The head of ``prefix + [last]`` is strictly below ``bound`` (a one
-    element target admits no equal-head case), and the certificate carries
-    the elements down to ``last``.
-    """
-    prefix = tuple(prefix)
-    if evidence.kind != "head_less":
-        raise EvidenceError("a one-element target forces a strictly smaller head")
-    if not prefix:
-        return single_step(last, bound, evidence.head_evidence)
-    nodes = tuple(reversed(prefix + (last,))) + (bound,)
-    links = tuple(reversed(cert.steps)) + (evidence.head_evidence,)
-    return ChainEvidence(nodes=nodes, links=links)
-
-
 # ---------------------------------------------------------------------------
 # The relation on descending lists.
 
@@ -256,76 +150,53 @@ def pow_relation(rel: WFRelation) -> WFRelation:
         return tuple(found)
 
     def recursor(step, z: DescendingList):
-        def q1(x, ih):
-            # ih(y, chain), kept as ``.ih``, is the append handler for any y
-            # below x in the closure; the handler for items[:length] + [x]
-            # slices its prefix only when a step recurses through it
-            def append_handler(items, length, below_prefix):
-                def with_cert(cert):
-                    def handle(lower: DescendingList, lex_evidence):
-                        value = step.recall(lower)
-                        if value is not _MISS:
-                            return value
-                        prefix = items[:length]
-                        case = below_append_cases(
-                            lower.elements, prefix, (x,), lex_evidence
-                        )
-                        if isinstance(case, BelowLeft):
-                            prefix_cert, _ = split_descent(prefix, (x,), cert)
-                            return below_prefix(prefix_cert)(lower, case.evidence)
-                        grow = extend(ih, prefix, below_prefix, x, case.extension)
-                        return step(lower, grow(case.evidence)(lower.cert))
-
-                    return handle
-
-                return with_cert
-
-            append_handler.ih = ih
-            return append_handler
-
-        def extend(ih, prefix, below_prefix, x, extension):
-            # rebuild the handler for prefix + extension, one element at a time
-            if not extension:
-                return lambda _lex: below_prefix
-            front, last = extension[:-1], extension[-1]
-
-            def with_lex(lex_evidence):
-                def with_cert(cert):
-                    _, tail_cert = split_descent(prefix, front + (last,), cert)
-                    chain = last_element_chain(
-                        front, last, x, tail_cert, lex_evidence
-                    )
-                    shorter = extend(ih, prefix, below_prefix, x, front)(
-                        prefix_below(front, (last,), (x,), lex_evidence)
-                    )
-                    before = prefix + front
-                    return ih(last, chain)(before, len(before), shorter)(cert)
-
-                return with_cert
-
-            return with_lex
-
-        def nothing_below(_cert):
-            def handle(_lower, _evidence):
-                raise EvidenceError("nothing lies below the empty list")
+        # The closure's value at an element is its callback.  A list's
+        # handler keeps the callback at each of its elements; a list below
+        # it shares the callbacks up to the divergence index, where it
+        # leaves the list, and is walked down from there one closure step
+        # per element: the head witness first, then its certificate links.
+        def handler(elements, callbacks):
+            def handle(lower: DescendingList, evidence):
+                value = step.recall(lower)
+                if value is not _MISS:
+                    return value
+                if not elements:
+                    raise EvidenceError("nothing lies below the empty list")
+                common = 0  # the divergence index
+                while isinstance(evidence, LexListEvidence) and evidence.kind == "head_equal":
+                    evidence, common = evidence.rest, common + 1
+                kind = evidence.kind if isinstance(evidence, LexListEvidence) else None
+                items = lower.elements
+                reached = callbacks[:common]
+                if kind == "head_less" and common < min(len(items), len(elements)):
+                    head = items[common]
+                    link = single_step(head, elements[common], evidence.head_evidence)
+                    reached.append(callbacks[common](head, link))
+                    descend(reached, items, lower.cert.steps, common + 1)
+                elif not (kind == "nil_below" and common == len(items) < len(elements)):
+                    raise EvidenceError(f"{name}: malformed list evidence")
+                return step(lower, handler(items, reached))
 
             return handle
 
-        elements, links = z.elements, z.cert.steps
+        def descend(callbacks, elements, links, start):
+            # extend callbacks, which reach elements[:start], down the rest
+            callback = callbacks[-1]
+            for k in range(start, len(elements)):
+                link = single_step(elements[k], elements[k - 1], links[k - 1])
+                callback = callback(elements[k], link)
+                callbacks.append(callback)
+            return callbacks
+
+        elements = z.elements
         if not elements:
-            return step(z, nothing_below(z.cert))
+            return step(z, handler(elements, []))
 
-        def fold(handler):
-            # handler appends the head; each later element is reached through
-            # the previous one's closure callback, with its certificate link
-            below_prefix = handler(elements, 0, nothing_below)
-            for k, link in enumerate(links):
-                x = elements[k + 1]
-                handler = handler.ih(x, single_step(x, elements[k], link))
-                below_prefix = handler(elements, k + 1, below_prefix)
-            return step(z, below_prefix(z.cert))
+        def fold(head):
+            # head is the closure's callback at the head of z
+            return step(z, handler(elements, descend([head], elements, z.cert.steps, 1)))
 
-        return _inside(closure, q1, elements[0], fold)
+        return _inside(closure, lambda _x, ih: ih, elements[0], fold)
 
     return WFRelation(
         carrier=name,

@@ -2,32 +2,25 @@ import gc
 import random
 import sys
 import tracemalloc
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wellfounded import core
 from wellfounded import (
-    BelowLeft,
-    BelowSplit,
     DescendingList,
     EvidenceError,
     RecursionBudgetError,
-    below_append_cases,
     check_recursion_equation,
     descending,
     fuzz_descent,
     is_descending,
-    last_element_chain,
     list_lex_decide,
     nat_less,
     pow_nat_rank,
     pow_relation,
-    prefix_below,
-    snoc_fold,
-    split_descent,
-    transitive_closure,
-    validate_chain,
+    validated_evidence,
     wfrec,
     with_enumerated_predecessors,
 )
@@ -113,126 +106,6 @@ class TestListLexDecide:
         assert is_descending(NAT, (0, 1)) is None
 
 
-class TestSnocFold:
-    def test_sum(self):
-        assert snoc_fold(0, lambda _prefix, last, acc: acc + last, (1, 2, 3)) == 6
-
-    def test_nil_case(self):
-        sentinel = object()
-        assert snoc_fold(sentinel, lambda *_: None, ()) is sentinel
-
-    @given(nat_lists)
-    def test_rebuild_identity(self, items):
-        rebuilt = snoc_fold((), lambda _prefix, last, acc: acc + (last,), items)
-        assert rebuilt == items
-
-    @given(nat_lists)
-    def test_snoc_equation(self, items):
-        # value on l + [x] is the snoc case applied to the value on l
-        def case(prefix, last, acc):
-            return acc * 2 + last
-
-        if items:
-            assert snoc_fold(1, case, items) == case(
-                items[:-1], items[-1], snoc_fold(1, case, items[:-1])
-            )
-
-
-class TestPrefixBelow:
-    def test_empty_suffix_is_identity(self):
-        evidence = list_lex_decide(NAT, (0,), (1,))
-        assert prefix_below((0,), (), (1,), evidence) == evidence
-
-    def test_strips_the_suffix(self):
-        evidence = list_lex_decide(NAT, (1, 0), (2,))
-        shrunk = prefix_below((1,), (0,), (2,), evidence)
-        assert shrunk == list_lex_decide(NAT, (1,), (2,))
-
-    def test_empty_prefix_gives_nil_evidence(self):
-        evidence = list_lex_decide(NAT, (0, 1), (2, 2))
-        assert prefix_below((), (0, 1), (2, 2), evidence).kind == "nil_below"
-
-    @given(descending_sets, descending_sets)
-    def test_result_always_revalidates(self, combined, target):
-        for cut in range(len(combined) + 1):
-            evidence = list_lex_decide(NAT, combined, target)
-            if evidence is None:
-                continue
-            shrunk = prefix_below(combined[:cut], combined[cut:], target, evidence)
-            assert shrunk == list_lex_decide(NAT, combined[:cut], target)
-
-
-class TestBelowAppendCases:
-    def test_split_through_the_equal_head(self):
-        evidence = list_lex_decide(NAT, (2, 0), (2, 1))
-        case = below_append_cases((2, 0), (2,), (1,), evidence)
-        assert isinstance(case, BelowSplit)
-        assert case.extension == (0,)
-        assert case.evidence == list_lex_decide(NAT, (0,), (1,))
-
-    def test_strictly_smaller_head_stays_left(self):
-        evidence = list_lex_decide(NAT, (1,), (2, 9))
-        case = below_append_cases((1,), (2,), (9,), evidence)
-        assert isinstance(case, BelowLeft)
-        assert case.evidence == list_lex_decide(NAT, (1,), (2,))
-
-    def test_whole_left_part_splits_to_nil(self):
-        evidence = list_lex_decide(NAT, (3, 1), (3, 1, 0))
-        case = below_append_cases((3, 1), (3, 1), (0,), evidence)
-        assert isinstance(case, BelowSplit)
-        assert case.extension == ()
-        assert case.evidence.kind == "nil_below"
-
-    @given(descending_sets, descending_sets)
-    def test_exactly_one_valid_branch(self, lower, target):
-        for cut in range(len(target) + 1):
-            left, right = target[:cut], target[cut:]
-            evidence = list_lex_decide(NAT, lower, target)
-            if evidence is None:
-                continue
-            case = below_append_cases(lower, left, right, evidence)
-            if isinstance(case, BelowLeft):
-                assert case.evidence == list_lex_decide(NAT, lower, left)
-            else:
-                assert lower == left + case.extension
-                assert case.evidence == list_lex_decide(NAT, case.extension, right)
-
-
-def recursive_prefix_below(prefix, suffix, target, evidence):
-    # the lemma's definition by recursion on the prefix, kept as the oracle
-    if not prefix:
-        if not target:
-            raise EvidenceError("no list lies below the empty list")
-        return NIL_BELOW
-    if evidence.kind == "head_less":
-        return evidence
-    if evidence.kind == "head_equal":
-        rest = recursive_prefix_below(prefix[1:], suffix, target[1:], evidence.rest)
-        return head_equal(rest)
-    raise EvidenceError("nil evidence cannot describe a nonempty list")
-
-
-def recursive_below_append_cases(lower, left, right, evidence):
-    # the lemma's definition by recursion on the left part, kept as the oracle
-    if not left:
-        return BelowSplit(extension=lower, evidence=evidence)
-    if evidence.kind == "nil_below":
-        return BelowLeft(evidence=NIL_BELOW)
-    if evidence.kind == "head_less":
-        return BelowLeft(evidence=evidence)
-    inner = recursive_below_append_cases(lower[1:], left[1:], right, evidence.rest)
-    if isinstance(inner, BelowLeft):
-        return BelowLeft(evidence=head_equal(inner.evidence))
-    return inner
-
-
-def outcome(lemma, *args):
-    try:
-        return lemma(*args)
-    except (AttributeError, EvidenceError) as error:
-        return type(error), str(error)
-
-
 # any chain of lex evidence, well-formed or not: a chain may end in None,
 # carry an unknown kind, or stack head_equal over nil_below
 lex_evidence = st.recursive(
@@ -246,104 +119,6 @@ lex_evidence = st.recursive(
     ),
     max_leaves=8,
 )
-
-
-class TestLemmaLoops:
-    @given(descending_sets, descending_sets, st.integers(0, 6))
-    def test_match_the_recursive_definitions_on_decided_evidence(self, lower, target, cut):
-        evidence = list_lex_decide(NAT, lower, target)
-        if evidence is None:
-            return
-        cut %= len(target) + 1
-        left, right = target[:cut], target[cut:]
-        assert below_append_cases(lower, left, right, evidence) == (
-            recursive_below_append_cases(lower, left, right, evidence)
-        )
-        cut %= len(lower) + 1
-        prefix, suffix = lower[:cut], lower[cut:]
-        assert prefix_below(prefix, suffix, target, evidence) == (
-            recursive_prefix_below(prefix, suffix, target, evidence)
-        )
-
-    @given(nat_lists, nat_lists, nat_lists, lex_evidence)
-    def test_match_the_recursive_definitions_on_any_evidence(
-        self, first, second, third, evidence
-    ):
-        assert outcome(below_append_cases, first, second, third, evidence) == (
-            outcome(recursive_below_append_cases, first, second, third, evidence)
-        )
-        assert outcome(prefix_below, first, third, second, evidence) == (
-            outcome(recursive_prefix_below, first, third, second, evidence)
-        )
-
-    def test_step_through_a_long_common_prefix(self, monkeypatch):
-        # 2999..0 recurses once into 2999..1, whose lemmas walk a
-        # 2999-element common prefix under a budget of 50 and a limit of 1000
-        monkeypatch.setenv("WFREC_DEPTH", "50")
-        power = pow_relation(NAT)
-        top = descending(NAT, range(2999, -1, -1))
-        lower = descending(NAT, range(2999, 0, -1))
-
-        def step(z, rec):
-            if z.elements[-1] == 0:
-                return 1 + rec(lower, power.decide(lower, z))
-            return len(z.elements)
-
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            assert wfrec(power, step, top) == 3000
-        finally:
-            sys.setrecursionlimit(limit)
-
-
-class TestSplitDescent:
-    def test_split_both_parts(self):
-        cert = is_descending(NAT, (2, 1, 0))
-        left, right = split_descent((2, 1), (0,), cert)
-        assert left == is_descending(NAT, (2, 1))
-        assert right == is_descending(NAT, (0,))
-
-    def test_empty_prefix(self):
-        cert = is_descending(NAT, (3, 2))
-        left, right = split_descent((), (3, 2), cert)
-        assert left.steps == () and right == cert
-
-    @given(descending_sets, st.integers(0, 6))
-    def test_random_splits_revalidate(self, elements, raw_cut):
-        cert = is_descending(NAT, elements)
-        cut = raw_cut % (len(elements) + 1)
-        left, right = split_descent(elements[:cut], elements[cut:], cert)
-        assert left == is_descending(NAT, elements[:cut])
-        assert right == is_descending(NAT, elements[cut:])
-
-
-class TestLastElementChain:
-    def test_single_step(self):
-        evidence = list_lex_decide(NAT, (0,), (1,))
-        chain = last_element_chain((), 0, 1, is_descending(NAT, (0,)), evidence)
-        assert chain.nodes == (0, 1)
-        assert validate_chain(NAT, chain)
-
-    def test_through_a_prefix(self):
-        evidence = list_lex_decide(NAT, (2, 1), (3,))
-        chain = last_element_chain((2,), 1, 3, is_descending(NAT, (2, 1)), evidence)
-        assert chain.lower == 1 and chain.upper == 3
-        closure = transitive_closure(NAT)
-        assert closure.decide(1, 3) is not None
-        assert validate_chain(NAT, chain)
-
-    def test_endpoints_exhaustively(self):
-        for elements in (e.elements for e in all_descending_lists(5) if e.elements):
-            for bound in range(6):
-                evidence = list_lex_decide(NAT, elements, (bound,))
-                if evidence is None:
-                    continue
-                prefix, last = elements[:-1], elements[-1]
-                cert = is_descending(NAT, elements)
-                chain = last_element_chain(prefix, last, bound, cert, evidence)
-                assert chain.lower == last and chain.upper == bound
-                assert validate_chain(NAT, chain)
 
 
 class TestPowRelation:
@@ -441,8 +216,9 @@ class TestPowRelation:
         assert length == 2000
 
     def test_one_call_into_a_long_extension_takes_no_frame_per_link(self, monkeypatch):
-        # from [1500] into 1499..0: the closure handler walks the 1500-link
-        # chain below 1500 in a loop, not one nested call per link
+        # from [1500] into 1499..0: the handler reaches the callback at each
+        # of the 1500 elements in one loop, one closure step per link (the
+        # head witness, then the certificate), not one nested call per link
         monkeypatch.setenv("WFREC_DEPTH", "50")
         power = pow_relation(NAT)
         top = descending(NAT, (1500,))
@@ -460,6 +236,71 @@ class TestPowRelation:
             assert wfrec(power, step, top) == 1501
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_step_through_a_long_common_prefix(self, monkeypatch):
+        # 2999..0 recurses once into 2999..1: the handler counts the 2999
+        # head_equal wrappers up to the divergence index and shares the
+        # callbacks before it, under a budget of 50 and a limit of 1000
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        power = pow_relation(NAT)
+        top = descending(NAT, range(2999, -1, -1))
+        lower = descending(NAT, range(2999, 0, -1))
+
+        def step(z, rec):
+            if z.elements[-1] == 0:
+                return 1 + rec(lower, power.decide(lower, z))
+            return len(z.elements)
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert wfrec(power, step, top) == 3000
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_step_below_a_long_list_takes_no_frame_per_element(self, monkeypatch):
+        # 1000..0 recurses once into 999..0, which leaves the list at its
+        # head: one walk down 1000 elements, under a budget of 50 and a
+        # limit of 1000
+        monkeypatch.setenv("WFREC_DEPTH", "50")
+        power = pow_relation(NAT)
+        top = descending(NAT, range(1000, -1, -1))
+        lower = descending(NAT, range(999, -1, -1))
+
+        def step(z, rec):
+            if z == top:
+                return 1 + rec(lower, power.decide(lower, z))
+            return len(z.elements)
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert wfrec(power, step, top) == 1001
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @given(descending_sets, descending_sets, lex_evidence)
+    def test_any_list_evidence_gives_a_value_or_an_evidence_error(
+        self, upper, lower, evidence
+    ):
+        # only the first step recurses: evidence of the right shape is
+        # trusted, so a step that recursed on every call would loop when it
+        # places top below itself
+        power = pow_relation(NAT)
+        top, below = descending(NAT, upper), descending(NAT, lower)
+        stepped = []
+
+        def step(z, rec):
+            stepped.append(z)
+            if len(stepped) == 1:
+                return rec(below, evidence)
+            return len(z.elements)
+
+        try:
+            assert wfrec(power, step, top) == len(lower)
+        except EvidenceError as error:
+            if not upper:
+                assert str(error) == "nothing lies below the empty list"
 
     def test_long_list_holds_no_prefix_copies(self):
         # a step that never recurses keeps one handler per element alive,
@@ -614,3 +455,36 @@ def test_pow_predecessors_match_the_enumeration_before_kept_evidence(seed, size)
         assert found == pow_predecessors_before(rel, upper)
         for lower, _evidence in found:
             assert lower.cert == is_descending(rel, lower.elements)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 5))
+def test_rank_through_the_predecessors_matches_a_memoized_oracle(seed, size):
+    # the step recurses on every list below its argument, so most calls
+    # reach a list the evaluation has already stepped
+    rng = random.Random(seed)
+    for rel in (shuffled_dag(rng, size), NAT):
+        power = pow_relation(rel)
+        upper = random_descent(rng, rel, size)
+        ranks = {}
+
+        def oracle(z):
+            if z.elements not in ranks:
+                ranks[z.elements] = 1 + max(
+                    (oracle(lower) for lower, _e in power.predecessors(z)), default=-1
+                )
+            return ranks[z.elements]
+
+        stepped = []
+
+        def rank(z, rec):
+            stepped.append(z.elements)
+            return 1 + max(
+                (rec(lower, e) for lower, e in power.predecessors(z)), default=-1
+            )
+
+        for checking in (nullcontext(), validated_evidence()):
+            stepped.clear()
+            with checking:
+                assert wfrec(power, rank, upper) == oracle(upper)
+            assert sorted(stepped) == sorted(ranks)
