@@ -117,6 +117,15 @@ def all_descending_lists(bound: int) -> list:
     return lists
 
 
+def successor_relation() -> WFRelation:
+    """``m`` below ``n`` when ``m + 1 == n``; its transitive closure is ``<``."""
+    return WFRelation(
+        carrier="succ",
+        decide=lambda low, up: EQUAL if low + 1 == up else None,
+        predecessors=lambda up: ((up - 1, EQUAL),) if up > 0 else (),
+    )
+
+
 def all_multisets(carrier, max_size: int) -> list:
     """Every multiset over ``carrier`` with at most ``max_size`` elements."""
     nat = nat_less()
@@ -346,13 +355,7 @@ def _check_recursion_equations(
     pool = bit_lists[: 2 ** (bits - 1)]
     suite.append(("inverse image", by_length, census_step(by_length, pool), bit_lists))
 
-    imm = transitive_closure(
-        WFRelation(
-            carrier="imm",
-            decide=lambda low, up: EQUAL if low + 1 == up else None,
-            predecessors=lambda up: ((up - 1, EQUAL),) if up > 0 else (),
-        )
-    )
+    imm = transitive_closure(successor_relation())
     imm_step = census_step(imm, range(closure))
     suite.append(("transitive closure", imm, imm_step, range(closure + 1)))
 
@@ -773,15 +776,10 @@ def named_descent_order(name: str) -> NamedOrder:
             sample_starts=(9, 17, 30),
         )
     if name == "pow-nat":
-        power = pow_relation(nat)
-
-        def parse_start(text):
-            return descending(nat, parse_nat_list(text))
-
         return NamedOrder(
             name="pow-nat",
-            relation=power,
-            parse_start=parse_start,
+            relation=pow_relation(nat),
+            parse_start=lambda text: descending(nat, parse_nat_list(text)),
             describe=lambda dl: ",".join(str(e) for e in dl.elements) or "(empty)",
             descent_bound=lambda dl: pow_nat_rank(dl) + 1,
             sample_starts=(

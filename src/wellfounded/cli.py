@@ -19,14 +19,7 @@ import argparse
 import json
 import sys
 
-from .core import (
-    EvidenceError,
-    IncomparableError,
-    WellFoundedError,
-    fuzz_descent,
-    nat_less,
-)
-from .power import descending, pow_relation
+from .core import EvidenceError, IncomparableError, WellFoundedError, fuzz_descent
 from .checks import named_descent_order, parse_nat, parse_nat_list, run_all
 from .demos import ackermann, fib, quicksort
 from .ordinal import compare, format_ordinal, parse_ordinal
@@ -65,20 +58,13 @@ def _cmd_ord(args) -> int:
 
 
 def _cmd_pow(args) -> int:
-    nat = nat_less()
-    power = pow_relation(nat)
-    first = parse_nat_list(args.left)
-    second = parse_nat_list(args.right)
-    lower = descending(nat, first)
-    upper = descending(nat, second)
+    order = named_descent_order("pow-nat")
+    lower = order.parse_start(args.left)
+    upper = order.parse_start(args.right)
     if lower == upper:
         outcome = "EQ"
-    elif power.decide(lower, upper) is not None:
-        outcome = "LT"
-    elif power.decide(upper, lower) is not None:
-        outcome = "GT"
-    else:
-        outcome = "INCOMPARABLE"
+    else:  # the list order over < is total
+        outcome = "LT" if order.relation.decide(lower, upper) is not None else "GT"
     _emit(args, {"result": outcome}, outcome)
     return EXIT_OK
 
@@ -87,7 +73,10 @@ def _cmd_chain(args) -> int:
     if args.max_steps < 1:
         raise ValueError(f"--max-steps must be at least 1: {args.max_steps}")
     order = named_descent_order(args.order)
-    start = order.parse_start(args.start)
+    if args.order == "ord":
+        start = parse_ordinal(args.start, depth_limit=args.depth_limit)
+    else:
+        start = order.parse_start(args.start)
     chain = fuzz_descent(order.relation, start, max_steps=args.max_steps, seed=args.seed)
     described = [order.describe(element) for element in chain]
     _emit(

@@ -143,22 +143,30 @@ class App:
         return self.head + "(" + ", ".join(repr(a) for a in self.args) + ")"
 
 
+def _nodes(expression) -> list:
+    # every node, each before its arguments, over an explicit stack
+    found, stack = [], [expression]
+    while stack:
+        node = stack.pop()
+        found.append(node)
+        if isinstance(node, App):
+            stack.extend(node.args)
+    return found
+
+
 def expr_vars(expression) -> frozenset:
-    if isinstance(expression, Var):
-        return frozenset({expression.name})
-    names: frozenset = frozenset()
-    for argument in expression.args:
-        names |= expr_vars(argument)
-    return names
+    return frozenset(node.name for node in _nodes(expression) if isinstance(node, Var))
 
 
 def expr_to_wtree(expression) -> WTree:
-    if isinstance(expression, Var):
-        return leaf(("var", expression.name))
-    return WTree(
-        label=("app", expression.head),
-        branches=tuple(expr_to_wtree(a) for a in expression.args),
-    )
+    built = {}  # by id, as hashing a deep expression recurses; arguments come first
+    for node in reversed(_nodes(expression)):
+        if isinstance(node, Var):
+            built[id(node)] = leaf(("var", node.name))
+        else:
+            branches = tuple(built[id(argument)] for argument in node.args)
+            built[id(node)] = WTree(label=("app", node.head), branches=branches)
+    return built[id(expression)]
 
 
 def expr_substructure() -> WFRelation:

@@ -60,27 +60,28 @@ def stepped(*components) -> SteppedTuple:
     return SteppedTuple(arity=len(components), components=tuple(components))
 
 
-def _tuple_power(rel: WFRelation, n: int) -> WFRelation:
-    # fixed-width lexicographic order, one pair layer per position
-    if n == 0:
-        return empty_relation(carrier=f"{rel.carrier}^0")
-    inner = _tuple_power(rel, n - 1)
-    pairs = lex_product(rel, inner)
-    return inverse_image(
-        pairs, lambda t: (t[0], t[1:]), carrier=f"{rel.carrier}^{n}"
-    )
+def _tower(bottom: WFRelation, grow: Callable[[WFRelation, int], WFRelation]):
+    """Layer ``n`` on demand, each built once: ``bottom``, then ``grow(below, n)``."""
+    layers = [bottom]
+
+    def layer(n):
+        while len(layers) <= n:
+            layers.append(grow(layers[-1], len(layers)))
+        return layers[n]
+
+    return layer
 
 
 def stepped_lex(rel: WFRelation) -> WFRelation:
     """Shorter tuples precede longer ones; equal lengths compare pointwise."""
-    powers: dict[int, WFRelation] = {}
-
-    def family(n):
-        if n not in powers:
-            powers[n] = _tuple_power(rel, n)
-        return powers[n]
-
-    base = lex_family(nat_less(), family, carrier=f"arity-then-{rel.carrier}")
+    # the width-n power: lexicographic on the head, then the width n-1 tail
+    powers = _tower(
+        empty_relation(carrier=f"{rel.carrier}^0"),
+        lambda tails, n: inverse_image(
+            lex_product(rel, tails), lambda t: (t[0], t[1:]), carrier=f"{rel.carrier}^{n}"
+        ),
+    )
+    base = lex_family(nat_less(), powers, carrier=f"arity-then-{rel.carrier}")
     return inverse_image(
         base,
         lambda t: (t.arity, t.components),
@@ -102,15 +103,25 @@ class FiniteFunction:
         return "{" + inside + "}"
 
 
-def finite_function(rel_key: WFRelation, entries) -> FiniteFunction:
-    """Checked constructor: rejects entry lists whose keys do not descend."""
-    entries = tuple((key, value) for key, value in entries)
+def _pair_cert(rel_key: WFRelation, entries) -> DescentCert:
+    # the entries descend under the pair order because their keys do: one
+    # key-order step per adjacent pair, upper first
+    steps = []
     for (upper, _), (lower, _) in zip(entries, entries[1:]):
-        if rel_key.decide(lower, upper) is None:
+        evidence = rel_key.decide(lower, upper)
+        if evidence is None:
             raise IncomparableError(
                 f"keys not strictly descending under {rel_key.carrier}: "
                 f"{lower!r} after {upper!r}"
             )
+        steps.append(lex_first(evidence))
+    return DescentCert(tuple(steps))
+
+
+def finite_function(rel_key: WFRelation, entries) -> FiniteFunction:
+    """Checked constructor: rejects entry lists whose keys do not descend."""
+    entries = tuple((key, value) for key, value in entries)
+    _pair_cert(rel_key, entries)
     return FiniteFunction(entries=entries)
 
 
@@ -124,13 +135,7 @@ def finfun_exp(rel_a: WFRelation, rel_b: WFRelation) -> WFRelation:
     lists = pow_relation(pair_rel)
 
     def as_descending(ff: FiniteFunction) -> DescendingList:
-        steps = []
-        for (upper, _), (lower, _) in zip(ff.entries, ff.entries[1:]):
-            evidence = rel_a.decide(lower, upper)
-            if evidence is None:
-                raise IncomparableError("entry keys must strictly descend")
-            steps.append(lex_first(evidence))
-        return DescendingList(elements=ff.entries, cert=DescentCert(tuple(steps)))
+        return DescendingList(elements=ff.entries, cert=_pair_cert(rel_a, ff.entries))
 
     return inverse_image(
         lists,
@@ -278,13 +283,15 @@ def lift_payload(payload, layers: int):
     return payload
 
 
+def _multiset_layers(rel: WFRelation):
+    # layer n+1 sums layer n with the multisets over it
+    return _tower(rel, lambda below, _n: disjoint_sum(below, multiset_relation(below)))
+
+
 def level_relation(rel: WFRelation, n: int) -> WFRelation:
     """The order on layer-``n`` payloads: atoms at layer 0, then each layer
     sums the previous layer with multisets over it."""
-    current = rel
-    for _ in range(n):
-        current = disjoint_sum(current, multiset_relation(current))
-    return current
+    return _multiset_layers(rel)(n)
 
 
 def nm_union(rel: WFRelation, a: NestedMultiset, b: NestedMultiset) -> NestedMultiset:
@@ -308,20 +315,17 @@ def nm_union(rel: WFRelation, a: NestedMultiset, b: NestedMultiset) -> NestedMul
 def nested_multiset_relation(rel: WFRelation, max_depth: int = 12) -> WFRelation:
     """Order nested multisets by depth first, then by the layer order.
 
-    Layers are built up front to ``max_depth``; deeper values are rejected
-    rather than silently mishandled.
+    Layers are built on first use, up to ``max_depth``; deeper values are
+    rejected rather than silently mishandled.
     """
-    layers = [rel]
-    for _ in range(max_depth):
-        previous = layers[-1]
-        layers.append(disjoint_sum(previous, multiset_relation(previous)))
+    layer = _multiset_layers(rel)
 
     def family(n):
-        if n >= len(layers):
+        if n > max_depth:
             raise UndecidableError(
                 f"nested multisets deeper than {max_depth} are not supported here"
             )
-        return layers[n]
+        return layer(n)
 
     base = lex_family(nat_less(), family, carrier="depth-then-layer")
     return inverse_image(

@@ -104,6 +104,14 @@ class TestChainCommand:
         assert payload["length"] <= 2 ** 4
         assert payload["chain"][0] == "3,1,0"
 
+    def test_ordinal_start_obeys_the_depth_limit(self, capsys):
+        start = "w^(w^(w^(w^(w^w))))"
+        code, out, _ = run(capsys, "--json", "--depth-limit", "3", "chain", "ord", start)
+        assert code == 2
+        assert json.loads(out) == {"error": "nesting deeper than 3 (at position 12)"}
+        code, out, _ = run(capsys, "--json", "--depth-limit", "5", "chain", "ord", start)
+        assert code == 0 and json.loads(out)["chain"][0] == start
+
     def test_budget_exhaustion_exits_one(self, capsys):
         code, _out, err = run(capsys, "chain", "nat", "5", "--max-steps", "2")
         assert code == 1 and "5" in err

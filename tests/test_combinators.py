@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,6 +43,7 @@ from wellfounded.checks import (
     edge_reachable,
     properly_divides,
     random_dag,
+    successor_relation,
 )
 from wellfounded.combinators import ChainEvidence, lex_second
 
@@ -163,12 +165,7 @@ class TestTransitiveClosure:
         assert transitive_closure(self.base()).decide(0, 0) is None
 
     def test_closure_of_immediate_predecessor_is_less_than(self):
-        immediate = WFRelation(
-            carrier="imm",
-            decide=lambda low, up: EQUAL if low + 1 == up else None,
-            predecessors=lambda up: ((up - 1, EQUAL),) if up > 0 else (),
-        )
-        closure = transitive_closure(immediate)
+        closure = transitive_closure(successor_relation())
         for low in range(11):
             for up in range(11):
                 assert (closure.decide(low, up) is not None) == (low < up)
@@ -262,13 +259,7 @@ class TestTransitiveClosure:
             finally:
                 done.append(True)
 
-        succ = WFRelation(
-            carrier="succ",
-            decide=lambda low, up: EQUAL if low + 1 == up else None,
-            predecessors=lambda up: ((up - 1, EQUAL),) if up > 0 else (),
-            recursor=recursor,
-        )
-        closure = transitive_closure(succ)
+        closure = transitive_closure(replace(successor_relation(), recursor=recursor))
 
         def count_down(n, rec):
             return 0 if n == 0 else rec(n - 1, closure.decide(n - 1, n)) + 1
@@ -387,12 +378,7 @@ class TestFinitePowers:
                         ) == paths(low, up, n)
 
     def test_long_chain_takes_no_frame_per_step(self):
-        succ = WFRelation(
-            carrier="succ",
-            decide=lambda low, up: EQUAL if low + 1 == up else None,
-            predecessors=lambda up: ((up - 1, EQUAL),) if up > 0 else (),
-        )
-        chain = finite_power_decide(succ, 3000, 0, 3000)
+        chain = finite_power_decide(successor_relation(), 3000, 0, 3000)
         assert chain.nodes == tuple(range(3001)) and len(chain) == 3000
 
 
@@ -562,14 +548,6 @@ class TestLexicographic:
             LexEvidence(on_first=EQUAL, equal=EQUAL, on_second=EQUAL)
 
 
-def _successor():
-    return WFRelation(
-        carrier="succ",
-        decide=lambda low, up: EQUAL if low + 1 == up else None,
-        predecessors=lambda up: ((up - 1, EQUAL),) if up > 0 else (),
-    )
-
-
 def _bit_lists():
     return [
         tuple(bits) for size in range(4) for bits in itertools.product((0, 1), repeat=size)
@@ -578,7 +556,7 @@ def _bit_lists():
 
 # construction -> (relation, pool, top); every pool element at or below top
 CENSUS_CASES = {
-    "closure": lambda: (transitive_closure(_successor()), range(10), 9),
+    "closure": lambda: (transitive_closure(successor_relation()), range(10), 9),
     "pow": lambda: (
         pow_relation(nat_less()),
         all_descending_lists(4),

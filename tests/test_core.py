@@ -29,6 +29,8 @@ from wellfounded import (
     multiset_of,
     multiset_relation,
     pow_relation,
+    stepped,
+    stepped_lex,
     with_enumerated_predecessors,
 )
 from wellfounded.checks import direct_ackermann, fib_step, iterative_fib
@@ -134,6 +136,16 @@ def of_rank(rank):
     return descending(nat_less(), [e for e in range(12, -1, -1) if rank >> e & 1])
 
 
+def last_non_zero_lowered(t):
+    # the same tuple with its last non-zero component one smaller
+    components = list(t.components)
+    for index in range(len(components) - 1, -1, -1):
+        if components[index]:
+            components[index] -= 1
+            return stepped(*components)
+    return None
+
+
 def one_zero_fewer(m):
     count = m.entries[0][1] if m.entries else 0
     return multiset_of(nat_less(), [0] * (count - 1)) if count else None
@@ -175,6 +187,11 @@ DESCENTS = {
         multiset_relation(nat_less()),
         one_zero_fewer,
         lambda levels: multiset_of(nat_less(), [0] * levels),
+    ),
+    "stepped": (
+        stepped_lex(nat_less()),
+        last_non_zero_lowered,
+        lambda levels: stepped(25, levels - 25),
     ),
 }
 

@@ -18,7 +18,7 @@ from wellfounded import (
     wfrec,
 )
 from wellfounded.checks import direct_ackermann, iterative_fib
-from wellfounded.wtree import subtree_decide
+from wellfounded.wtree import WTree, leaf, subtree_decide
 from wellfounded.demos import (
     append,
     expr_to_wtree,
@@ -191,6 +191,18 @@ class TestExpressions:
         tree = App("f", (self.x, App("g", (self.y,))))
         assert wfrec(self.sub, size_step, tree) == 4
 
+    def test_deep_expressions_take_no_frame_per_level(self):
+        deep = self.x
+        for _ in range(3000):
+            deep = App("f", (deep, self.y))
+        assert expr_vars(deep) == frozenset({"x", "y"})
+        tree, levels = expr_to_wtree(deep), 0
+        while tree.branches:
+            assert tree.label == ("app", "f") and tree.branches[1] == leaf(("var", "y"))
+            tree, levels = tree.branches[0], levels + 1
+        assert (levels, tree.label) == (3000, ("var", "x"))
+        assert self.sub.decide(deep.args[0], deep) == 0
+
 
 def substructure_predecessors_before(expression):
     # the enumeration as written before the first-occurrence rule, one tree
@@ -213,6 +225,22 @@ expressions = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+def recursive_vars_and_tree(expression):
+    # the recursive definitions: the oracle for the stack walks
+    if isinstance(expression, Var):
+        return frozenset({expression.name}), leaf(("var", expression.name))
+    parts = [recursive_vars_and_tree(a) for a in expression.args]
+    names = frozenset().union(*(names for names, _tree in parts))
+    return names, WTree(label=("app", expression.head), branches=tuple(t for _n, t in parts))
+
+
+@given(expressions)
+def test_stack_walks_match_the_recursive_definitions(expression):
+    assert (expr_vars(expression), expr_to_wtree(expression)) == recursive_vars_and_tree(
+        expression
+    )
 
 
 @given(expressions)

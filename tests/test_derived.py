@@ -37,7 +37,7 @@ from wellfounded.checks import (
     all_multisets,
     descending_chain_step,
 )
-from wellfounded.derived import SteppedTuple, lift_payload
+from wellfounded.derived import FiniteFunction, SteppedTuple, lift_payload
 
 NAT = nat_less()
 
@@ -106,6 +106,18 @@ class TestFiniteFunctions:
     def test_non_descending_keys_rejected(self):
         with pytest.raises(IncomparableError):
             finite_function(NAT, [(1, 0), (2, 0)])
+
+    @pytest.mark.parametrize("order", [finfun_exp(NAT, NAT), multiset_relation(NAT)])
+    def test_unchecked_keys_are_rejected_in_either_position(self, order):
+        # built without the checked constructor, so only the measure sees it
+        rising = FiniteFunction(entries=((1, 0), (2, 0)))
+        other = finite_function(NAT, [(0, 1)])
+        message = "keys not strictly descending under nat: 2 after 1"
+        for lower, upper in ((rising, other), (other, rising)):
+            with pytest.raises(IncomparableError, match=message):
+                order.decide(lower, upper)
+        with pytest.raises(IncomparableError, match=message):
+            finite_function(NAT, rising.entries)
 
     def test_recursion_equation(self):
         order = finfun_exp(NAT, NAT)
