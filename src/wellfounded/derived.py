@@ -35,7 +35,7 @@ from .combinators import (
     subrelation,
     transitive_closure,
 )
-from .power import DescendingList, DescentCert, pow_relation
+from .power import DescendingList, DescentCert, list_lex_decide, pow_relation
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +103,9 @@ class FiniteFunction:
         return "{" + inside + "}"
 
 
-def _pair_cert(rel_key: WFRelation, entries) -> DescentCert:
-    # the entries descend under the pair order because their keys do: one
-    # key-order step per adjacent pair, upper first
+def _key_steps(rel_key: WFRelation, entries) -> list:
+    # the key-order evidence for each adjacent pair of entries, upper first;
+    # raises unless the keys strictly descend
     steps = []
     for (upper, _), (lower, _) in zip(entries, entries[1:]):
         evidence = rel_key.decide(lower, upper)
@@ -114,14 +114,14 @@ def _pair_cert(rel_key: WFRelation, entries) -> DescentCert:
                 f"keys not strictly descending under {rel_key.carrier}: "
                 f"{lower!r} after {upper!r}"
             )
-        steps.append(lex_first(evidence))
-    return DescentCert(tuple(steps))
+        steps.append(evidence)
+    return steps
 
 
 def finite_function(rel_key: WFRelation, entries) -> FiniteFunction:
     """Checked constructor: rejects entry lists whose keys do not descend."""
     entries = tuple((key, value) for key, value in entries)
-    _pair_cert(rel_key, entries)
+    _key_steps(rel_key, entries)
     return FiniteFunction(entries=entries)
 
 
@@ -129,19 +129,30 @@ def finfun_exp(rel_a: WFRelation, rel_b: WFRelation) -> WFRelation:
     """Order finite functions from A to B as descending lists of pairs.
 
     Descending keys force descending pairs under the pair order, so this is
-    the descending-list order pulled back along that reading.
+    the descending-list order pulled back along that reading.  Recursion
+    runs through that pull-back: the measure certifies each list's descent
+    from its keys.  Deciding reads only the entries, so ``decide`` checks
+    the keys of both arguments and compares the entries as lists, which
+    gives the evidence the pull-back would.
     """
     pair_rel = lex_product(rel_a, rel_b)
-    lists = pow_relation(pair_rel)
 
     def as_descending(ff: FiniteFunction) -> DescendingList:
-        return DescendingList(elements=ff.entries, cert=_pair_cert(rel_a, ff.entries))
+        steps = _key_steps(rel_a, ff.entries)
+        cert = DescentCert(tuple([lex_first(evidence) for evidence in steps]))
+        return DescendingList(elements=ff.entries, cert=cert)
 
-    return inverse_image(
-        lists,
+    def decide(lower: FiniteFunction, upper: FiniteFunction):
+        _key_steps(rel_a, lower.entries)
+        _key_steps(rel_a, upper.entries)
+        return list_lex_decide(pair_rel, lower.entries, upper.entries)
+
+    pulled_back = inverse_image(
+        pow_relation(pair_rel),
         as_descending,
         carrier=f"finfun({rel_a.carrier} -> {rel_b.carrier})",
     )
+    return replace(pulled_back, decide=decide)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import itertools
+import pickle
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -14,12 +16,14 @@ from wellfounded import (
     fib,
     quicksort,
     transitive_closure,
+    unification_ordering,
     validated_evidence,
     wfrec,
 )
 from wellfounded.checks import direct_ackermann, iterative_fib
 from wellfounded.wtree import WTree, leaf, subtree_decide
 from wellfounded.demos import (
+    _nodes,
     append,
     expr_to_wtree,
     filter_below_cons,
@@ -203,6 +207,20 @@ class TestExpressions:
         assert (levels, tree.label) == (3000, ("var", "x"))
         assert self.sub.decide(deep.args[0], deep) == 0
 
+    def test_deep_expressions_compare_hash_and_decide(self):
+        def build():
+            deep = self.x
+            for _ in range(3000):
+                deep = App("f", (deep,))
+            return deep
+
+        deep, again = build(), build()
+        assert transitive_closure(self.sub).decide(deep.args[0], deep) is not None
+        pairs = unification_ordering(self.sub, expr_vars)
+        assert pairs.decide((deep.args[0], deep), (deep, deep)) is not None
+        assert deep == again and hash(deep) == hash(again)
+        assert deep != App("f", (again,)) and deep != again.args[0]
+
 
 def substructure_predecessors_before(expression):
     # the enumeration as written before the first-occurrence rule, one tree
@@ -241,6 +259,30 @@ def test_stack_walks_match_the_recursive_definitions(expression):
     assert (expr_vars(expression), expr_to_wtree(expression)) == recursive_vars_and_tree(
         expression
     )
+
+
+@dataclass(frozen=True)
+class GeneratedApp:
+    head: str
+    args: tuple = ()
+
+
+def generated(expression):
+    # the same expression built from a class with the generated methods
+    if isinstance(expression, Var):
+        return expression
+    return GeneratedApp(expression.head, tuple(generated(a) for a in expression.args))
+
+
+@given(expressions, expressions)
+def test_equality_and_hash_match_generated_methods(a, b):
+    assert (a == b) == (generated(a) == generated(b))
+    assert hash(a) == hash(generated(a))
+    assert App("h", (a, b, a)) == App("h", (a, b, a))  # hashed and fresh nodes mixed
+    assert hash(App("h", (a, b, a))) == hash(generated(App("h", (a, b, a))))
+    copied = pickle.loads(pickle.dumps(a))
+    assert copied == a
+    assert not any("_hash" in node.__dict__ for node in _nodes(copied) if isinstance(node, App))
 
 
 @given(expressions)

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wellfounded import (
     EQUAL,
@@ -10,6 +11,7 @@ from wellfounded import (
     Inr,
     Var,
     check_recursion_equation,
+    disjoint_sum,
     dm_oracle,
     empty_relation,
     expr_substructure,
@@ -17,6 +19,9 @@ from wellfounded import (
     finfun_exp,
     finite_function,
     fuzz_descent,
+    inverse_image,
+    lex_first,
+    lex_product,
     multiset_of,
     multiset_relation,
     nat_less,
@@ -26,18 +31,22 @@ from wellfounded import (
     nm_empty,
     nm_singleton,
     nm_union,
+    pow_relation,
     stepped,
     stepped_lex,
     subrelation,
     unification_ordering,
+    wfrec,
 )
 from wellfounded.checks import (
     _MULTISET_SIZE_CAP,
     _capped_multiset_count,
     all_multisets,
     descending_chain_step,
+    properly_divides,
 )
-from wellfounded.derived import FiniteFunction, SteppedTuple, lift_payload
+from wellfounded.derived import FiniteFunction, SteppedTuple, level_relation, lift_payload
+from wellfounded.power import DescendingList, DescentCert
 
 NAT = nat_less()
 
@@ -130,6 +139,108 @@ class TestFiniteFunctions:
             order, descending_chain_step(order, functions), functions
         )
         assert report.ok
+
+
+def certified_finfun_exp(rel_a, rel_b):
+    # the pull-back with a measure that certifies every list, deciding
+    # included: the oracle for deciding on the entries
+    def as_descending(ff):
+        steps = []
+        for (upper, _), (lower, _) in zip(ff.entries, ff.entries[1:]):
+            evidence = rel_a.decide(lower, upper)
+            if evidence is None:
+                raise IncomparableError(
+                    f"keys not strictly descending under {rel_a.carrier}: "
+                    f"{lower!r} after {upper!r}"
+                )
+            steps.append(lex_first(evidence))
+        return DescendingList(elements=ff.entries, cert=DescentCert(tuple(steps)))
+
+    return inverse_image(pow_relation(lex_product(rel_a, rel_b)), as_descending)
+
+
+DIVIDES = properly_divides()
+LAYER_1 = level_relation(NAT, 1)
+
+# (order, oracle, keys in ascending order, values, wrap): keys are drawn
+# as descending index sets (well-formed, unless the key order is partial)
+# or as raw index lists (rising and repeated keys)
+DIFFERENTIAL_CASES = {
+    "finfun": (finfun_exp(NAT, NAT), certified_finfun_exp(NAT, NAT), range(5), range(3), None),
+    "finfun-divides": (
+        finfun_exp(DIVIDES, NAT),
+        certified_finfun_exp(DIVIDES, NAT),
+        (1, 2, 3, 4, 6, 12),
+        range(2),
+        None,
+    ),
+    "multiset": (multiset_relation(NAT), certified_finfun_exp(NAT, NAT), range(5), (1, 2), None),
+    "nested-layer": (
+        level_relation(NAT, 2),
+        disjoint_sum(LAYER_1, certified_finfun_exp(LAYER_1, NAT)),
+        (Inl(0), Inl(1)) + tuple(Inr(multiset_of(NAT, bag)) for bag in ([], [0], [0, 0], [1])),
+        (1, 2),
+        Inr,
+    ),
+}
+
+
+def decide_outcome(order, lower, upper):
+    try:
+        evidence = order.decide(lower, upper)
+    except Exception as error:
+        return type(error), str(error)
+    return evidence, repr(evidence)
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL_CASES)
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_entry_decide_matches_the_certified_pull_back(case, data):
+    order, oracle, keys, values, wrap = DIFFERENTIAL_CASES[case]
+    index = st.integers(0, len(keys) - 1)
+    indices = st.one_of(
+        st.sets(index, max_size=4).map(lambda chosen: sorted(chosen, reverse=True)),
+        st.lists(index, max_size=4),
+    )
+
+    def draw_function():
+        entries = tuple(
+            (keys[i], data.draw(st.sampled_from(values))) for i in data.draw(indices)
+        )
+        function = FiniteFunction(entries=entries)
+        return function if wrap is None else wrap(function)
+
+    lower, upper = draw_function(), draw_function()
+    assert decide_outcome(order, lower, upper) == decide_outcome(oracle, lower, upper)
+
+
+class TestEntryDecide:
+    class CertificateBuilt(Exception):
+        pass
+
+    def test_deciding_builds_no_certificate_and_recursion_does(self, monkeypatch):
+        order = multiset_relation(NAT)
+        pool = [multiset_of(NAT, bag) for bag in ([], [0], [1], [1, 0], [1, 1], [2])]
+        top, rising = pool[-1], FiniteFunction(entries=((1, 1), (2, 1)))
+
+        def census(x, rec):
+            below = [y for y in pool if order.decide(y, x) is not None]
+            return 1 + sum(rec(y, order.decide(y, x)) for y in below)
+
+        def refuse(*_args, **_kwargs):
+            raise self.CertificateBuilt
+
+        monkeypatch.setattr("wellfounded.derived.DescentCert", refuse)
+        assert order.decide(pool[4], top) is not None
+        assert order.decide(top, pool[4]) is None
+        for lower, upper in ((rising, top), (top, rising)):
+            with pytest.raises(IncomparableError, match="keys not strictly descending"):
+                order.decide(lower, upper)
+        with pytest.raises(self.CertificateBuilt):
+            wfrec(order, census, top)
+        monkeypatch.undo()
+        assert wfrec(order, census, top) == 2 ** 5
 
 
 class TestMultisets:
