@@ -88,6 +88,10 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    count = 2 if args.program == "ackermann" else 1
+    if len(args.values) != count:
+        takes = "1 value" if count == 1 else f"{count} values"
+        raise ValueError(f"demo {args.program} takes {takes}, got {len(args.values)}")
     if args.program == "quicksort":
         values = quicksort(lambda a, b: a <= b, parse_nat_list(args.values[0]))
         value = ",".join(str(v) for v in values)

@@ -23,7 +23,7 @@ from .core import (
     wfrec,
 )
 from .combinators import inverse_image, lex_first, lex_product, lex_second
-from .wtree import WTree, _Hashed, first_occurrences, leaf, wtree_relation
+from .wtree import Term, WTree, first_occurrences, leaf, wtree_relation
 
 
 def length(items) -> int:
@@ -132,60 +132,14 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
-class App:
+@dataclass(frozen=True, eq=False, repr=False)
+class App(Term):
     head: str
     args: Tuple[Any, ...] = ()
 
-    def __repr__(self) -> str:
-        if not self.args:
-            return self.head
-        return self.head + "(" + ", ".join(repr(a) for a in self.args) + ")"
-
-    # Equality and hashing run without Python recursion, as for ``WTree``,
-    # so deep expressions compare and key sets; the results are the
-    # generated methods'.  Each node keeps its hash once computed.
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        kind = self.__class__
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.__class__ is kind and b.__class__ is kind:
-                if a.head != b.head or len(a.args) != len(b.args):
-                    return False
-                pairs.extend(zip(reversed(a.args), reversed(b.args)))
-            elif not a == b:  # variables, and arguments of other classes
-                return False
-        return True
-
-    def __hash__(self):
-        stack = [self]
-        while stack:
-            node = stack[-1]
-            if "_hash" in node.__dict__:
-                stack.pop()
-                continue
-            unknown = [
-                a for a in node.args if isinstance(a, App) and "_hash" not in a.__dict__
-            ]
-            if unknown:  # hash the arguments first; the node is met again
-                stack.extend(unknown)
-                continue
-            args = tuple(
-                _Hashed(a.__dict__["_hash"]) if isinstance(a, App) else a for a in node.args
-            )
-            object.__setattr__(node, "_hash", hash((node.head, args)))
-            stack.pop()
-        return self.__dict__["_hash"]
-
-    def __getstate__(self):
-        # without the cached hash: a head's hash may differ in another process
-        return {"head": self.head, "args": self.args}
+    # the term base's names for the head and the arguments
+    label = property(lambda self: self.head)
+    branches = property(lambda self: self.args)
 
 
 def _nodes(expression) -> list:
@@ -204,7 +158,7 @@ def expr_vars(expression) -> frozenset:
 
 
 def expr_to_wtree(expression) -> WTree:
-    built = {}  # by id, as hashing a deep expression recurses; arguments come first
+    built = {}  # by id, so no node is hashed; arguments come first
     for node in reversed(_nodes(expression)):
         if isinstance(node, Var):
             built[id(node)] = leaf(("var", node.name))

@@ -1,13 +1,16 @@
 """Finitely branching labelled trees and the immediate-subtree relation.
 
 Trees stand in for wellordering types with enumerable branching: every
-node carries a label and an ordered tuple of subtrees.  The subtree
-relation is decidable by structural equality, and its recursion runs
-through the generic evaluator, like every relation's; ``tree_fold`` is
-the structural fold, outside the evaluator.  ``predecessor_tree`` unfolds
-any relation with enumerable predecessors into such a tree, which
-characterises well-founded relations: an element lies below another
-exactly when its tree is an immediate subtree of the other's.
+node carries a label and an ordered tuple of subtrees.  ``Term``, the
+base of trees and of the expressions in ``demos``, holds their equality,
+hash, pickled state and printing (``render``), each written once, the
+walks over explicit stacks.  The subtree relation is decidable by
+structural equality, and its recursion runs through the generic
+evaluator, like every relation's; ``tree_fold`` is the structural fold,
+outside the evaluator.  ``predecessor_tree`` unfolds any relation with
+enumerable predecessors into such a tree, which characterises
+well-founded relations: an element lies below another exactly when its
+tree is an immediate subtree of the other's.
 """
 
 from __future__ import annotations
@@ -19,81 +22,103 @@ from typing import Any, Callable, Optional, Tuple
 from .core import WFRelation
 
 
-@dataclass(frozen=True)
-class WTree:
-    label: Any
-    branches: Tuple["WTree", ...] = ()
+class Term:
+    """A labelled node whose equality, hash and text take no Python frame
+    per level, so terms of any depth compare, key sets and print; its
+    pickled state leaves out the cached hash.  A subclass supplies ``label`` and the ordered ``branches``;
+    branches of the node's own class are walked, and any other branch is
+    compared, hashed and printed as itself.  The results are those of the
+    methods a frozen dataclass generates, with ``render`` as the text.
+    Each node keeps its hash once computed, so a term hashed before costs
+    one lookup, and a new term over hashed subterms hashes only its new
+    nodes.
+
+    Subclasses are declared ``@dataclass(frozen=True, eq=False,
+    repr=False)``: otherwise the generated methods replace these.
+    """
 
     def __repr__(self) -> str:
         return render(self)
 
-    # Equality and hashing run without Python recursion, so deep trees such
-    # as large numerals compare; the results are the generated methods'.
-    # Each node keeps its hash once computed, so a tree hashed before costs
-    # one lookup, and a new tree over hashed subtrees hashes only its new
-    # nodes.
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        kind = self.__class__
         pairs = [(self, other)]
         while pairs:
             a, b = pairs.pop()
-            if a is not b:
-                if (
-                    a.__class__ is not b.__class__
-                    or not (a.label is b.label or a.label == b.label)
-                    or len(a.branches) != len(b.branches)
-                ):
+            if a is b:
+                continue
+            if a.__class__ is kind and b.__class__ is kind:
+                same = a.label is b.label or a.label == b.label
+                if not same or len(a.branches) != len(b.branches):
                     return False
                 pairs.extend(zip(reversed(a.branches), reversed(b.branches)))
+            elif not a == b:  # branches of another class
+                return False
         return True
 
     def __hash__(self):
+        kind = self.__class__
         stack = [self]
         while stack:
             node = stack[-1]
             if "_hash" in node.__dict__:
                 stack.pop()
                 continue
-            unknown = [b for b in node.branches if "_hash" not in b.__dict__]
+            branches = node.branches
+            unknown = [
+                b for b in branches if b.__class__ is kind and "_hash" not in b.__dict__
+            ]
             if unknown:  # hash the branches first; the node is met again
                 stack.extend(unknown)
                 continue
-            branches = tuple(_Hashed(b.__dict__["_hash"]) for b in node.branches)
-            object.__setattr__(node, "_hash", hash((node.label, branches)))
+            hashed = tuple(
+                [_Hashed(b.__dict__["_hash"]) if b.__class__ is kind else b for b in branches]
+            )
+            object.__setattr__(node, "_hash", hash((node.label, hashed)))
             stack.pop()
         return self.__dict__["_hash"]
 
     def __getstate__(self):
         # without the cached hash: a label's hash may differ in another process
-        return {"label": self.label, "branches": self.branches}
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
-# an int that hashes to itself: a subtree whose hash is already known
+# an int that hashes to itself: a subterm whose hash is already known
 _Hashed = type("_Hashed", (int,), {"__hash__": int.__int__})
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class WTree(Term):
+    label: Any
+    branches: Tuple["WTree", ...] = ()
 
 
 def leaf(label) -> WTree:
     return WTree(label=label, branches=())
 
 
-def render(tree: WTree) -> str:
-    """Deterministic textual form: label, then parenthesized branches."""
+def render(term: Term) -> str:
+    """Deterministic textual form: label, then parenthesized branches; a
+    branch of another class than ``term`` shows as its ``repr``."""
+    kind = term.__class__
     parts = []
-    stack = [tree]  # trees still to render, and the text between them
+    stack = [term]  # terms still to render, and the text between them
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
+        if item.__class__ is not kind:
             parts.append(item)
             continue
         label = item.label
         parts.append(label.name if isinstance(label, enum.Enum) else str(label))
-        if item.branches:
+        branches = item.branches
+        if branches:
             parts.append("(")
             stack.append(")")
-            for index in range(len(item.branches) - 1, -1, -1):
-                stack.append(item.branches[index])
+            for index in range(len(branches) - 1, -1, -1):
+                branch = branches[index]
+                stack.append(branch if branch.__class__ is kind else repr(branch))
                 if index:
                     stack.append(", ")
     return "".join(parts)

@@ -158,6 +158,8 @@ class TestDemoCommand:
     def test_bad_arguments_exit_two(self, capsys):
         code, _out, _err = run(capsys, "demo", "fib", "ten")
         assert code == 2
+        code, out, _err = run(capsys, "--json", "demo", "ackermann", "1")
+        assert (code, json.loads(out)) == (2, {"error": "demo ackermann takes 2 values, got 1"})
 
     @pytest.mark.parametrize(
         "argv",
@@ -200,6 +202,9 @@ class TestCheckCommand:
         (("chain", "multiset-nat", "--", "-1,2"), 2),
         (("chain", "nat", "5", "--max-steps", "0"), 2),
         (("chain", "pow-nat", "1,3"), 3),
+        (("demo", "fib", "10", "20"), 2),
+        (("demo", "quicksort", "3,1", "5,4"), 2),
+        (("demo", "ackermann", "1"), 2),
     ],
     ids=[
         "pow-negative",
@@ -210,6 +215,9 @@ class TestCheckCommand:
         "multiset-chain-negative",
         "zero-max-steps",
         "pow-chain-not-descending",
+        "fib-two-values",
+        "quicksort-two-lists",
+        "ackermann-one-value",
     ],
 )
 def test_inputs_outside_the_carriers_are_json_errors(capsys, argv, expected):

@@ -220,6 +220,9 @@ class TestExpressions:
         assert pairs.decide((deep.args[0], deep), (deep, deep)) is not None
         assert deep == again and hash(deep) == hash(again)
         assert deep != App("f", (again,)) and deep != again.args[0]
+        assert repr(deep) == "f(" * 3000 + "x" + ")" * 3000
+        evidence = repr(pairs.decide((deep.args[0], deep), (deep, deep)))
+        assert evidence.startswith("UnifEvidence(") and "f(" * 3000 + "x" in evidence
 
 
 def substructure_predecessors_before(expression):
@@ -274,12 +277,25 @@ def generated(expression):
     return GeneratedApp(expression.head, tuple(generated(a) for a in expression.args))
 
 
+def recursive_repr(expression):
+    # App's printer before the term base, one frame per level: the oracle
+    if not isinstance(expression, App):
+        return repr(expression)
+    if not expression.args:
+        return expression.head
+    return expression.head + "(" + ", ".join(recursive_repr(a) for a in expression.args) + ")"
+
+
 @given(expressions, expressions)
 def test_equality_and_hash_match_generated_methods(a, b):
     assert (a == b) == (generated(a) == generated(b))
     assert hash(a) == hash(generated(a))
     assert App("h", (a, b, a)) == App("h", (a, b, a))  # hashed and fresh nodes mixed
     assert hash(App("h", (a, b, a))) == hash(generated(App("h", (a, b, a))))
+    assert repr(a) == recursive_repr(a)
+    assert repr(App("h", (a, b, a))) == recursive_repr(App("h", (a, b, a)))
+    if isinstance(a, App):  # the same label and branches in another term class
+        assert a != WTree(a.head, a.args) and WTree(a.head, a.args) != a
     copied = pickle.loads(pickle.dumps(a))
     assert copied == a
     assert not any("_hash" in node.__dict__ for node in _nodes(copied) if isinstance(node, App))
