@@ -360,12 +360,31 @@ class RecursionReport:
 
 
 def check_recursion_equation(rel: WFRelation, step: StepFunction, samples) -> RecursionReport:
-    """Check ``wfrec(step, a) == step(a, (x, e) -> wfrec(step, x))`` on samples."""
+    """Check ``wfrec(step, a) == step(a, (x, e) -> wfrec(step, x))`` on samples.
+
+    Each distinct element, sample or callee, is evaluated once, by its own
+    top-level ``wfrec``, and that value serves every later request for it.
+    Steps are deterministic, so a repeated top-level evaluation could only
+    return the same value: the check still compares the evaluator with its
+    one-step unfolding, and no value comes from another evaluation's memo.
+    Unhashable elements are evaluated afresh on every request.
+    """
+    values: dict = {}
+
+    def value(x):
+        try:
+            found = values.get(x, _MISS)
+        except TypeError:  # unhashable: a fresh evaluation every time
+            return wfrec(rel, step, x)
+        if found is _MISS:
+            found = values[x] = wfrec(rel, step, x)
+        return found
+
     report = RecursionReport()
     for a in samples:
         report.total += 1
-        recursed = wfrec(rel, step, a)
-        unfolded = step(a, lambda x, _e: wfrec(rel, step, x))
+        recursed = value(a)
+        unfolded = step(a, lambda x, _e: value(x))
         if recursed != unfolded:
             report.failures.append((a, recursed, unfolded))
     return report

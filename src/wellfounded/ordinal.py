@@ -134,7 +134,10 @@ class ParseError(ValueError):
 
 def parse_ordinal(text: str, depth_limit: int = 64) -> OrdinalNotation:
     """Parse a notation; whitespace separates tokens but cannot split a
-    number, and errors carry the position."""
+    number, and errors carry the position.  ``depth_limit`` bounds the
+    nesting of parentheses and must be at least 0."""
+    if depth_limit < 0:
+        raise ValueError(f"depth limit must be at least 0: {depth_limit}")
     tokens = _TOKEN.findall(text) + [""]  # "" marks the end; nothing steps past it
     i = 0
 

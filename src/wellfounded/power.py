@@ -22,6 +22,7 @@ from typing import Any, Optional, Tuple
 
 from .core import _MISS, EvidenceError, UndecidableError, WFRelation
 from .combinators import _inside, _walk_below, single_step, transitive_closure
+from .wtree import _Hashed
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,61 @@ def descending(rel: WFRelation, items) -> DescendingList:
 # ---------------------------------------------------------------------------
 # The head-first lexicographic order on raw lists.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class LexListEvidence:
     """Witness that one list lies lexicographically below another.
 
     ``nil_below``: the empty list below any nonempty list.
     ``head_less``: strictly smaller head, with element evidence.
     ``head_equal``: equal heads, with a witness for the tails.
+
+    Equality, hash and text walk the ``rest`` chain in a loop, so evidence
+    over any number of common heads compares, hashes and prints; the
+    results are those of the methods a frozen dataclass generates.
     """
 
     kind: str
     head_evidence: Any = None
     rest: Optional["LexListEvidence"] = None
+
+    def _chain(self) -> list:
+        # this node and the evidence below it, down to the last one whose
+        # ``rest`` is not list evidence
+        chain = [self]
+        while chain[-1].rest.__class__ is self.__class__:
+            chain.append(chain[-1].rest)
+        return chain
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        kind = self.__class__
+        a, b = self, other
+        while a.__class__ is kind and b.__class__ is kind:
+            if a is b:
+                return True
+            for x, y in ((a.kind, b.kind), (a.head_evidence, b.head_evidence)):
+                if not (x is y or x == y):
+                    return False
+            a, b = a.rest, b.rest
+        return a is b or a == b
+
+    def __hash__(self):
+        chain = self._chain()
+        value = hash(chain[-1].rest)
+        for node in reversed(chain):
+            value = hash((node.kind, node.head_evidence, _Hashed(value)))
+        return value
+
+    def __repr__(self) -> str:
+        chain = self._chain()
+        name = self.__class__.__qualname__
+        parts = [
+            f"{name}(kind={node.kind!r}, head_evidence={node.head_evidence!r}, rest="
+            for node in chain
+        ]
+        parts.append(repr(chain[-1].rest) + ")" * len(chain))
+        return "".join(parts)
 
 
 NIL_BELOW = LexListEvidence(kind="nil_below")

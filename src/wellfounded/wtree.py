@@ -3,7 +3,7 @@
 Trees stand in for wellordering types with enumerable branching: every
 node carries a label and an ordered tuple of subtrees.  ``Term``, the
 base of trees and of the expressions in ``demos``, holds their equality,
-hash, pickled state and printing (``render``), each written once, the
+hash, flat pickled form and printing (``render``), each written once, the
 walks over explicit stacks.  The subtree relation is decidable by
 structural equality, and its recursion runs through the generic
 evaluator, like every relation's; ``tree_fold`` is the structural fold,
@@ -24,14 +24,16 @@ from .core import WFRelation
 
 class Term:
     """A labelled node whose equality, hash and text take no Python frame
-    per level, so terms of any depth compare, key sets and print; its
-    pickled state leaves out the cached hash.  A subclass supplies ``label`` and the ordered ``branches``;
-    branches of the node's own class are walked, and any other branch is
-    compared, hashed and printed as itself.  The results are those of the
-    methods a frozen dataclass generates, with ``render`` as the text.
-    Each node keeps its hash once computed, so a term hashed before costs
-    one lookup, and a new term over hashed subterms hashes only its new
-    nodes.
+    per level, so terms of any depth compare, key sets, print, pickle and
+    copy.  A subclass supplies ``label`` and the ordered ``branches``, and
+    is built from the two in that order; branches of the node's own class
+    are walked, and any other branch is compared, hashed, printed and
+    pickled as itself.  The pickled form is a flat list with one record
+    per distinct node, so shared subterms stay shared, and it leaves out
+    the cached hash.  The results are those of the methods a frozen
+    dataclass generates, with ``render`` as the text.  Each node keeps its
+    hash once computed, so a term hashed before costs one lookup, and a
+    new term over hashed subterms hashes only its new nodes.
 
     Subclasses are declared ``@dataclass(frozen=True, eq=False,
     repr=False)``: otherwise the generated methods replace these.
@@ -80,9 +82,42 @@ class Term:
             stack.pop()
         return self.__dict__["_hash"]
 
-    def __getstate__(self):
-        # without the cached hash: a label's hash may differ in another process
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+    def __reduce__(self):
+        # A flat list, one record per distinct node in post-order: the label
+        # and each branch as the index of its record, or, for another class,
+        # as the 1-tuple of the value.  So pickling and copying take no frame
+        # per level, and shared subterms stay shared.  The cached hash stays
+        # out: a label's hash may differ in another process.
+        kind = self.__class__
+        index: dict = {}  # id of a node -> its record's position
+        records = []
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if id(node) in index:
+                stack.pop()
+                continue
+            branches = node.branches
+            unknown = [b for b in branches if b.__class__ is kind and id(b) not in index]
+            if unknown:  # record the branches first; the node is met again
+                stack.extend(reversed(unknown))
+                continue
+            stack.pop()
+            index[id(node)] = len(records)
+            records.append((node.label, tuple(
+                [index[id(b)] if b.__class__ is kind else (b,) for b in branches]
+            )))
+        return _unflatten, (kind, records)
+
+
+def _unflatten(kind, records):
+    # rebuild what ``Term.__reduce__`` flattened; the root is the last record
+    built: list = []
+    for label, branches in records:
+        built.append(kind(label, tuple(
+            [built[b] if b.__class__ is int else b[0] for b in branches]
+        )))
+    return built[-1]
 
 
 # an int that hashes to itself: a subterm whose hash is already known

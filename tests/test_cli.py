@@ -45,6 +45,17 @@ class TestOrdCommands:
         code, _out, err = run(capsys, "--depth-limit", "3", "ord", "normalize", deep)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("ord", "normalize", "5"), ("ord", "compare", "5", "w"), ("chain", "ord", "5")],
+        ids=["normalize", "compare", "chain"],
+    )
+    def test_negative_depth_limit_is_refused(self, capsys, argv):
+        code, out, _err = run(capsys, "--json", "--depth-limit", "-1", *argv)
+        assert (code, json.loads(out)) == (2, {"error": "depth limit must be at least 0: -1"})
+        code, _out, err = run(capsys, "--depth-limit", "-1", *argv)
+        assert (code, err) == (2, "error: depth limit must be at least 0: -1")
+
 
 class TestPowCommands:
     def test_spec_pair(self, capsys):

@@ -2,10 +2,11 @@ import os
 import subprocess
 import sys
 import threading
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import wellfounded
 from wellfounded import (
@@ -34,6 +35,7 @@ from wellfounded import (
     with_enumerated_predecessors,
 )
 from wellfounded.checks import direct_ackermann, fib_step, iterative_fib
+from wellfounded.core import RecursionReport
 from wellfounded.combinators import (
     Inl,
     Inr,
@@ -517,6 +519,63 @@ class TestEmptyRelation:
         assert empty_relation().predecessors("u") == ()
 
 
+def check_recursion_equation_before(rel, step, samples):
+    # the harness before its table of values, a fresh top-level evaluation
+    # for every sample and every callee: the oracle
+    report = RecursionReport()
+    for a in samples:
+        report.total += 1
+        recursed = wfrec(rel, step, a)
+        unfolded = step(a, lambda x, _e: wfrec(rel, step, x))
+        if recursed != unfolded:
+            report.failures.append((a, recursed, unfolded))
+    return report
+
+
+def length_step(xs, rec):
+    # from unhashable lists to unhashable lists: the lengths of the suffixes
+    if not xs:
+        return []
+    return [len(xs)] + rec(xs[1:], nat_less_decide(len(xs) - 1, len(xs)))
+
+
+def raising_step(n, rec):
+    if n == 7:
+        raise ValueError(f"no value at {n}")
+    return fib_step(n, rec)
+
+
+def bogus_evidence_step(n, rec):
+    # evidence that certifies nothing; at multiples of 4 the call ascends,
+    # to where the descent meets the next ascent
+    if n == 0:
+        return 0
+    if n % 4 == 0:
+        return rec(n + 5, "bogus")
+    return 1 + rec(n - 1, "bogus")
+
+
+# each case: the relation, the step, the samples from the drawn picks (in
+# random order, with repeats) and whether evidence is validated
+HARNESS_CASES = {
+    "fibonacci": lambda picks, rng: (nat_less(), fib_step, picks, False),
+    "shuffled": lambda picks, rng: (
+        nat_less(), fib_step, rng.sample(picks * 2, 2 * len(picks)), False
+    ),
+    "unhashable": lambda picks, rng: (
+        inverse_image(nat_less(), len),
+        length_step,
+        [[rng.randrange(3) for _ in range(k)] for k in picks],
+        False,
+    ),
+    "broken": lambda picks, rng: (
+        replace(nat_less(), recursor=lambda step, a: -1), fib_step, picks, False
+    ),
+    "raising": lambda picks, rng: (nat_less(), raising_step, picks, False),
+    "bogus evidence": lambda picks, rng: (nat_less(), bogus_evidence_step, picks, True),
+}
+
+
 class TestRecursionEquationHarness:
     def test_fibonacci_passes(self):
         report = check_recursion_equation(nat_less(), fib_step, range(21))
@@ -536,6 +595,48 @@ class TestRecursionEquationHarness:
         )
         report = check_recursion_equation(broken, fib_step, range(3))
         assert not report.ok
+
+    def test_evaluates_each_element_once_at_top_level(self, monkeypatch):
+        steps = opened = 0
+
+        def counted_step(n, rec):
+            nonlocal steps
+            steps += 1
+            return fib_step(n, rec)
+
+        def counted_budget():
+            nonlocal opened
+            opened += 1  # read once per top-level evaluation
+            return budget()
+
+        budget = wellfounded.core.recursion_budget
+        monkeypatch.setattr(wellfounded.core, "recursion_budget", counted_budget)
+        report = check_recursion_equation(nat_less(), counted_step, range(14))
+        assert report.ok and report.total == 14
+        # one evaluation per element, whose steps the callees' lookups reuse,
+        # and one unfolding step per sample
+        assert (steps, opened) == (118, 14)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.sampled_from(sorted(HARNESS_CASES)),
+        st.lists(st.integers(0, 12), max_size=10),
+        st.randoms(use_true_random=False),
+    )
+    def test_same_report_as_one_evaluation_per_request(self, case, picks, shuffler):
+        rel, step, samples, validated = HARNESS_CASES[case](picks, shuffler)
+
+        def outcome(check):
+            try:
+                with validated_evidence() if validated else nullcontext():
+                    report = check(rel, step, samples)
+            except Exception as error:
+                return type(error), str(error)
+            return report.total, report.failures
+
+        assert outcome(check_recursion_equation) == outcome(
+            check_recursion_equation_before
+        )
 
 
 class TestUniqueSolution:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import pickle
 from dataclasses import dataclass
@@ -223,6 +224,8 @@ class TestExpressions:
         assert repr(deep) == "f(" * 3000 + "x" + ")" * 3000
         evidence = repr(pairs.decide((deep.args[0], deep), (deep, deep)))
         assert evidence.startswith("UnifEvidence(") and "f(" * 3000 + "x" in evidence
+        for copied in (pickle.loads(pickle.dumps(deep)), copy.deepcopy(deep)):
+            assert copied == deep and copied is not deep
 
 
 def substructure_predecessors_before(expression):

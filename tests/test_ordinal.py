@@ -129,6 +129,14 @@ class TestParsePrint:
         assert parse_ordinal(nested, depth_limit=64) is not None
         with pytest.raises(ParseError):
             parse_ordinal(nested, depth_limit=5)
+        assert parse_ordinal("5", depth_limit=0) == parse_ordinal("5")
+
+    def test_negative_depth_limit_is_refused_before_reading(self):
+        for text in ("5", "w^", ""):
+            with pytest.raises(ValueError) as info:
+                parse_ordinal(text, depth_limit=-1)
+            assert not isinstance(info.value, ParseError)
+            assert str(info.value) == "depth limit must be at least 0: -1"
 
     def test_whitespace_insensitive(self):
         assert parse_ordinal(" w ^ 2 * 3+ 1 ") == parse_ordinal("w^2*3+1")

@@ -3,6 +3,8 @@ import random
 import sys
 import tracemalloc
 from contextlib import nullcontext
+from dataclasses import make_dataclass
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -119,6 +121,60 @@ lex_evidence = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+# the same fields in a class with the generated, recursive methods: the oracle
+GeneratedLexEvidence = make_dataclass(
+    "LexListEvidence",
+    [("kind", str), ("head_evidence", Any, None), ("rest", Any, None)],
+    frozen=True,
+)
+
+
+def generated(evidence):
+    chain = []
+    while isinstance(evidence, LexListEvidence):
+        chain.append(evidence)
+        evidence = evidence.rest
+    for node in reversed(chain):
+        evidence = GeneratedLexEvidence(node.kind, node.head_evidence, evidence)
+    return evidence
+
+
+# chains with head evidence, among it list evidence, so that equal and
+# unequal chains turn up
+headed_evidence = st.recursive(
+    st.sampled_from([None, NIL_BELOW, head_less(NAT.decide(0, 1)), head_less(NAT.decide(0, 2))]),
+    lambda rest: st.builds(
+        LexListEvidence,
+        kind=st.sampled_from(["head_equal", "head_less"]),
+        head_evidence=st.sampled_from([None, NAT.decide(0, 1), NIL_BELOW]),
+        rest=rest,
+    ),
+    max_leaves=6,
+)
+
+
+class TestLexListEvidenceMethods:
+    @given(headed_evidence, headed_evidence)
+    def test_match_the_generated_methods(self, a, b):
+        assert (a == b) == (generated(a) == generated(b))
+        assert (a != b) == (generated(a) != generated(b))
+        for x in (a, head_equal(a), LexListEvidence("head_less", a, head_equal(a))):
+            assert x == x and x == head_equal(x).rest
+            assert hash(x) == hash(generated(x))
+            assert repr(x) == repr(generated(x))
+
+    def test_deep_evidence_prints_compares_and_hashes(self):
+        upper = tuple(range(3000, 0, -1))
+        evidence = list_lex_decide(NAT, upper[:-1] + (0,), upper)
+        again = list_lex_decide(NAT, upper[:-1] + (0,), upper)
+        assert evidence == again and hash(evidence) == hash(again)
+        assert evidence != list_lex_decide(NAT, upper[:-2] + (0,), upper)
+        assert evidence != list_lex_decide(NAT, upper[:-1], upper)
+        head = "LexListEvidence(kind='head_equal', head_evidence=None, rest="
+        leaf = f"LexListEvidence(kind='head_less', head_evidence={NAT.decide(0, 1)!r}, rest=None)"
+        assert repr(evidence) == head * 2999 + leaf + ")" * 2999
 
 
 class TestPowRelation:

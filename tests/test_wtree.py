@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import dataclass
 from typing import Any
@@ -185,6 +187,27 @@ class TestNatEncoding:
         for _ in range(20000):
             other_leaf = WTree(label=NatLabel.SUCC, branches=(other_leaf,))
         assert encode_nat(20000) != other_leaf
+
+    def test_deep_numerals_pickle_and_copy(self):
+        deep = encode_nat(3000)
+        hash(deep)  # cached on every node, and left out of the pickled form
+        for copied in (pickle.loads(pickle.dumps(deep)), copy.deepcopy(deep)):
+            assert copied == deep and decode_nat(copied) == 3000
+            assert copied is not deep and "_hash" not in copied.__dict__
+
+    def test_pickled_rank_trees_stay_shared(self):
+        tree = predecessor_tree(nat_less(), 20)  # 21 nodes, 2**20 paths
+        data = pickle.dumps(tree)
+        assert len(data) < 2000
+        copied = pickle.loads(data)
+        nodes, stack = {}, [copied]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                assert [b.label for b in node.branches] == list(range(node.label))
+                stack.extend(node.branches)
+        assert len(nodes) == 21 and copied.label == 20
 
     def test_fold_depth_is_charged_to_the_budget(self, monkeypatch):
         monkeypatch.setenv("WFREC_DEPTH", "50")
