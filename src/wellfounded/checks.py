@@ -706,14 +706,15 @@ _NUMERAL_LENGTH_CAP = 4300  # CPython's default int() digit limit, on every vers
 
 
 def parse_nat(text: str) -> int:
+    """ASCII digits, with whitespace around them; no sign, no underscores."""
     if len(text) > _NUMERAL_LENGTH_CAP:
         raise ValueError(
             f"a numeral of {len(text)} characters is longer than {_NUMERAL_LENGTH_CAP}"
         )
-    value = int(text)
-    if value < 0:
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"expected a natural number: {text!r}")
-    return value
+    return int(digits)
 
 
 def parse_nat_list(text: str) -> tuple:

@@ -261,6 +261,8 @@ def finite_power_decide(base: WFRelation, n: int, lower, upper) -> Optional[Chai
     The zero-th power is equality: ``n == 0`` succeeds only when the
     endpoints coincide, in which case the equality witness is returned.
     """
+    if n < 0:
+        raise ValueError(f"no power of a relation has a negative exponent: {n}")
     if base.predecessors is None:
         raise UndecidableError("finite powers need a predecessor enumeration")
     if n == 0:

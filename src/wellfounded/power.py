@@ -10,9 +10,10 @@ The recursion operator runs in one evaluation over the *transitive
 closure* of the element order, started at the list's head, whose value at
 an element is the closure's callback there.  A list's handler keeps the
 callback at each of its elements.  A list below it shares those of the
-common prefix its lexicographic evidence names, and reaches each later
-element with one closure step: the evidence's head witness first, then the
-list's own certificate links.  Each list is walked once, by index.
+common prefix, whose length its lexicographic evidence stores as one
+count, and reaches each later element with one closure step: the
+evidence's head witness first, then the list's own certificate links.
+Each list is walked once, by index.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Any, Optional, Tuple
 
 from .core import _MISS, EvidenceError, UndecidableError, WFRelation
 from .combinators import _inside, _walk_below, single_step, transitive_closure
-from .wtree import _Hashed
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ def descending(rel: WFRelation, items) -> DescendingList:
 # ---------------------------------------------------------------------------
 # The head-first lexicographic order on raw lists.
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class LexListEvidence:
     """Witness that one list lies lexicographically below another.
 
@@ -79,53 +79,57 @@ class LexListEvidence:
     ``head_less``: strictly smaller head, with element evidence.
     ``head_equal``: equal heads, with a witness for the tails.
 
-    Equality, hash and text walk the ``rest`` chain in a loop, so evidence
-    over any number of common heads compares, hashes and prints; the
-    results are those of the methods a frozen dataclass generates.
+    Only the number of ``head_equal`` wrappers, ``common``, and the terminal
+    inside them are stored, as ``NatLessEvidence`` stores its ``gap``, so
+    evidence over any number of common heads takes constant space and time.
+    ``kind``, ``head_evidence`` and ``rest`` read the outermost wrapper, and
+    ``rest`` unfolds one on demand.  A shape built by hand that no decision
+    gives raises ``EvidenceError``.
     """
 
-    kind: str
-    head_evidence: Any = None
-    rest: Optional["LexListEvidence"] = None
+    common: int
+    terminal: str
+    terminal_evidence: Any
 
-    def _chain(self) -> list:
-        # this node and the evidence below it, down to the last one whose
-        # ``rest`` is not list evidence
-        chain = [self]
-        while chain[-1].rest.__class__ is self.__class__:
-            chain.append(chain[-1].rest)
-        return chain
+    def __init__(self, kind: str, head_evidence: Any = None, rest: Any = None):
+        if kind == "head_equal" and head_evidence is None and isinstance(rest, LexListEvidence):
+            common, kind, head_evidence = rest.common + 1, rest.terminal, rest.terminal_evidence
+        elif rest is None and (kind, head_evidence is None) in _TERMINALS:
+            common = 0
+        else:
+            raise EvidenceError(f"no list decision gives a {kind!r} witness of this shape")
+        self.__dict__.update(common=common, terminal=kind, terminal_evidence=head_evidence)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        kind = self.__class__
-        a, b = self, other
-        while a.__class__ is kind and b.__class__ is kind:
-            if a is b:
-                return True
-            for x, y in ((a.kind, b.kind), (a.head_evidence, b.head_evidence)):
-                if not (x is y or x == y):
-                    return False
-            a, b = a.rest, b.rest
-        return a is b or a == b
+    @property
+    def kind(self) -> str:
+        return "head_equal" if self.common else self.terminal
 
-    def __hash__(self):
-        chain = self._chain()
-        value = hash(chain[-1].rest)
-        for node in reversed(chain):
-            value = hash((node.kind, node.head_evidence, _Hashed(value)))
-        return value
+    @property
+    def head_evidence(self) -> Any:
+        return None if self.common else self.terminal_evidence
+
+    @property
+    def rest(self) -> Optional["LexListEvidence"]:
+        if not self.common:
+            return None
+        return _list_evidence(self.common - 1, self.terminal, self.terminal_evidence)
 
     def __repr__(self) -> str:
-        chain = self._chain()
         name = self.__class__.__qualname__
-        parts = [
-            f"{name}(kind={node.kind!r}, head_evidence={node.head_evidence!r}, rest="
-            for node in chain
-        ]
-        parts.append(repr(chain[-1].rest) + ")" * len(chain))
-        return "".join(parts)
+        wrapper = f"{name}(kind='head_equal', head_evidence=None, rest="
+        leaf = f"{name}(kind={self.terminal!r}, head_evidence={self.terminal_evidence!r}, rest=None)"
+        return wrapper * self.common + leaf + ")" * self.common
+
+
+# each terminal kind, and whether it carries no element evidence
+_TERMINALS = (("nil_below", True), ("head_less", False))
+
+
+def _list_evidence(common: int, terminal: str, evidence) -> LexListEvidence:
+    # the decisions' constructor, for shapes that are right by construction
+    made = object.__new__(LexListEvidence)
+    made.__dict__.update(common=common, terminal=terminal, terminal_evidence=evidence)
+    return made
 
 
 NIL_BELOW = LexListEvidence(kind="nil_below")
@@ -147,22 +151,17 @@ def list_lex_decide(rel: WFRelation, lower, upper) -> Optional[LexListEvidence]:
     the tails.
     """
     lower, upper = tuple(lower), tuple(upper)
-    common = 0  # heads equal so far; each wraps the evidence in head_equal
+    common = 0  # heads equal so far
     for low, up in zip(lower, upper):
         evidence = rel.decide(low, up)
         if evidence is not None:
-            evidence = head_less(evidence)
-            break
+            return _list_evidence(common, "head_less", evidence)
         if low != up:
             return None
         common += 1
-    else:
-        if common == len(upper):
-            return None
-        evidence = NIL_BELOW
-    for _ in range(common):
-        evidence = head_equal(evidence)
-    return evidence
+    if common == len(upper):
+        return None
+    return _list_evidence(common, "nil_below", None)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +205,17 @@ def pow_relation(rel: WFRelation) -> WFRelation:
                     return value
                 if not elements:
                     raise EvidenceError("nothing lies below the empty list")
-                common = 0  # the divergence index
-                while isinstance(evidence, LexListEvidence) and evidence.kind == "head_equal":
-                    evidence, common = evidence.rest, common + 1
-                kind = evidence.kind if isinstance(evidence, LexListEvidence) else None
+                if not isinstance(evidence, LexListEvidence):
+                    raise EvidenceError(f"{name}: malformed list evidence")
+                common = evidence.common  # the divergence index
                 items = lower.elements
                 reached = callbacks[:common]
-                if kind == "head_less" and common < min(len(items), len(elements)):
+                if evidence.terminal == "head_less" and common < min(len(items), len(elements)):
                     head = items[common]
-                    link = single_step(head, elements[common], evidence.head_evidence)
+                    link = single_step(head, elements[common], evidence.terminal_evidence)
                     reached.append(callbacks[common](head, link))
                     descend(reached, items, lower.cert.steps, common + 1)
-                elif not (kind == "nil_below" and common == len(items) < len(elements)):
+                elif not (evidence.terminal == "nil_below" and common == len(items) < len(elements)):
                     raise EvidenceError(f"{name}: malformed list evidence")
                 return step(lower, handler(items, reached))
 

@@ -216,6 +216,10 @@ class TestCheckCommand:
         (("demo", "fib", "10", "20"), 2),
         (("demo", "quicksort", "3,1", "5,4"), 2),
         (("demo", "ackermann", "1"), 2),
+        (("demo", "fib", "1_0"), 2),
+        (("demo", "fib", "+7"), 2),
+        (("chain", "nat", "\u0663"), 2),
+        (("pow", "compare", "1_0", "1"), 2),
     ],
     ids=[
         "pow-negative",
@@ -229,6 +233,10 @@ class TestCheckCommand:
         "fib-two-values",
         "quicksort-two-lists",
         "ackermann-one-value",
+        "fib-underscore",
+        "fib-plus-sign",
+        "nat-chain-arabic-indic-digit",
+        "pow-compare-underscore",
     ],
 )
 def test_inputs_outside_the_carriers_are_json_errors(capsys, argv, expected):

@@ -359,6 +359,11 @@ class TestFinitePowers:
     def test_wrong_length_absent(self):
         assert finite_power_decide(self.base(), 2, 0, 1) is None
 
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_power_refused(self, n):
+        with pytest.raises(ValueError, match="negative exponent"):
+            finite_power_decide(nat_less(), n, 2, 3)
+
     def test_path_enumeration_oracle(self, rng):
         for _ in range(10):
             rel, edges = random_dag(rng, 6)

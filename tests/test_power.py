@@ -108,19 +108,26 @@ class TestListLexDecide:
         assert is_descending(NAT, (0, 1)) is None
 
 
-# any chain of lex evidence, well-formed or not: a chain may end in None,
-# carry an unknown kind, or stack head_equal over nil_below
-lex_evidence = st.recursive(
+# any chain of lex evidence, well-formed or not, as the calls that build it:
+# a call is None, or a kind with its head evidence and the call for its rest.
+# A chain may end in None, carry an unknown kind, or stack head_equal over
+# nil_below; the test makes the calls, so a shape refused there is an error
+lex_calls = st.recursive(
     st.sampled_from(
-        [None, NIL_BELOW, head_less(NAT.decide(0, 1)), LexListEvidence(kind="bogus")]
+        [None, ("nil_below", None, None), ("head_less", NAT.decide(0, 1), None), ("bogus", None, None)]
     ),
-    lambda rest: st.builds(
-        LexListEvidence,
-        kind=st.sampled_from(["head_equal", "head_less", "nil_below", "bogus"]),
-        rest=rest,
+    lambda rest: st.tuples(
+        st.sampled_from(["head_equal", "head_less", "nil_below", "bogus"]), st.none(), rest
     ),
     max_leaves=8,
 )
+
+
+def build(call):
+    if call is None:
+        return None
+    kind, head_evidence, rest = call
+    return LexListEvidence(kind, head_evidence, build(rest))
 
 
 # the same fields in a class with the generated, recursive methods: the oracle
@@ -141,16 +148,12 @@ def generated(evidence):
     return evidence
 
 
-# chains with head evidence, among it list evidence, so that equal and
-# unequal chains turn up
+# every shape a decision gives: head_equal wrappers around nil_below or
+# head_less, whose element evidence may itself be list evidence, so that
+# equal and unequal evidence turn up
 headed_evidence = st.recursive(
-    st.sampled_from([None, NIL_BELOW, head_less(NAT.decide(0, 1)), head_less(NAT.decide(0, 2))]),
-    lambda rest: st.builds(
-        LexListEvidence,
-        kind=st.sampled_from(["head_equal", "head_less"]),
-        head_evidence=st.sampled_from([None, NAT.decide(0, 1), NIL_BELOW]),
-        rest=rest,
-    ),
+    st.sampled_from([NIL_BELOW, head_less(NAT.decide(0, 1)), head_less(NAT.decide(0, 2))]),
+    lambda inner: st.one_of(st.builds(head_equal, inner), st.builds(head_less, inner)),
     max_leaves=6,
 )
 
@@ -160,10 +163,37 @@ class TestLexListEvidenceMethods:
     def test_match_the_generated_methods(self, a, b):
         assert (a == b) == (generated(a) == generated(b))
         assert (a != b) == (generated(a) != generated(b))
-        for x in (a, head_equal(a), LexListEvidence("head_less", a, head_equal(a))):
+        assert a != b or hash(a) == hash(b)
+        for x in (a, head_equal(a), head_less(head_equal(a))):
             assert x == x and x == head_equal(x).rest
-            assert hash(x) == hash(generated(x))
             assert repr(x) == repr(generated(x))
+
+    @pytest.mark.parametrize(
+        "kind, head_evidence, rest",
+        [
+            ("bogus", None, None),
+            ("head_equal", None, None),
+            ("head_equal", NAT.decide(0, 1), NIL_BELOW),
+            ("head_equal", None, NAT.decide(0, 1)),
+            ("nil_below", None, NIL_BELOW),
+            ("nil_below", NAT.decide(0, 1), None),
+            ("head_less", None, None),
+            ("head_less", NAT.decide(0, 1), NIL_BELOW),
+        ],
+        ids=[
+            "unknown-kind",
+            "head-equal-over-none",
+            "head-equal-with-head-evidence",
+            "head-equal-over-nat-evidence",
+            "nil-below-with-rest",
+            "nil-below-with-head-evidence",
+            "head-less-without-head-evidence",
+            "head-less-with-rest",
+        ],
+    )
+    def test_shapes_no_decision_gives_are_refused(self, kind, head_evidence, rest):
+        with pytest.raises(EvidenceError):
+            LexListEvidence(kind, head_evidence, rest)
 
     def test_deep_evidence_prints_compares_and_hashes(self):
         upper = tuple(range(3000, 0, -1))
@@ -175,6 +205,20 @@ class TestLexListEvidenceMethods:
         head = "LexListEvidence(kind='head_equal', head_evidence=None, rest="
         leaf = f"LexListEvidence(kind='head_less', head_evidence={NAT.decide(0, 1)!r}, rest=None)"
         assert repr(evidence) == head * 2999 + leaf + ")" * 2999
+
+    def test_long_common_prefix_allocates_constant_evidence(self):
+        # 2999 common heads: one evidence object, not one per head
+        upper = tuple(range(3000, 0, -1))
+        lower = upper[:-1] + (0,)
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            evidence = list_lex_decide(NAT, lower, upper)
+            allocated = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert evidence.kind == "head_equal" and allocated < 10
 
 
 class TestPowRelation:
@@ -294,9 +338,9 @@ class TestPowRelation:
             sys.setrecursionlimit(limit)
 
     def test_step_through_a_long_common_prefix(self, monkeypatch):
-        # 2999..0 recurses once into 2999..1: the handler counts the 2999
-        # head_equal wrappers up to the divergence index and shares the
-        # callbacks before it, under a budget of 50 and a limit of 1000
+        # 2999..0 recurses once into 2999..1: the handler reads the 2999
+        # common heads, the divergence index, from the evidence and shares
+        # the callbacks before it, under a budget of 50 and a limit of 1000
         monkeypatch.setenv("WFREC_DEPTH", "50")
         power = pow_relation(NAT)
         top = descending(NAT, range(2999, -1, -1))
@@ -335,13 +379,17 @@ class TestPowRelation:
         finally:
             sys.setrecursionlimit(limit)
 
-    @given(descending_sets, descending_sets, lex_evidence)
+    @given(descending_sets, descending_sets, lex_calls)
     def test_any_list_evidence_gives_a_value_or_an_evidence_error(
-        self, upper, lower, evidence
+        self, upper, lower, call
     ):
         # only the first step recurses: evidence of the right shape is
         # trusted, so a step that recursed on every call would loop when it
         # places top below itself
+        try:
+            evidence = build(call)
+        except EvidenceError:
+            return  # a shape no decision gives is refused when it is built
         power = pow_relation(NAT)
         top, below = descending(NAT, upper), descending(NAT, lower)
         stepped = []
