@@ -18,7 +18,7 @@ except ImportError:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wellfounded import fuzz_descent
-from wellfounded.checks import named_descent_order
+from wellfounded.orders import ORDER_NAMES, named_descent_order
 
 
 def main() -> int:
@@ -29,7 +29,7 @@ def main() -> int:
     args = parser.parse_args()
 
     print(f"{'order':<14} {'start':<12} {'walks':>6} {'min':>5} {'mean':>7} {'max':>5} {'bound':>7}")
-    for name in ("nat", "pow-nat", "multiset-nat", "ord"):
+    for name in ORDER_NAMES:
         order = named_descent_order(name)
         for start in order.sample_starts:
             lengths = [

@@ -20,9 +20,10 @@ import json
 import sys
 
 from .core import EvidenceError, IncomparableError, WellFoundedError, fuzz_descent
-from .checks import named_descent_order, parse_nat, parse_nat_list, run_all
+from .checks import run_all
 from .demos import ackermann, fib, quicksort
 from .ordinal import compare, format_ordinal, parse_ordinal
+from .orders import ORDER_NAMES, named_descent_order, parse_nat, parse_nat_list
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -150,9 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pow_compare.add_argument("right")
 
     chain_cmd = commands.add_parser("chain", help="seeded descending walk")
-    chain_cmd.add_argument(
-        "order", choices=("nat", "pow-nat", "multiset-nat", "ord")
-    )
+    chain_cmd.add_argument("order", choices=ORDER_NAMES)
     chain_cmd.add_argument("start")
     chain_cmd.add_argument("--seed", type=int, default=0, help="walk seed")
     chain_cmd.add_argument(

@@ -15,12 +15,12 @@ from typing import Any, Callable, Optional
 
 from .core import (
     _MISS,
-    _VALIDATING,
     EQUAL,
     EqualWitness,
     EvidenceError,
     UndecidableError,
     WFRelation,
+    wfrec,
 )
 
 
@@ -39,20 +39,11 @@ def subrelation(
     name = carrier or f"sub({base.carrier})"
 
     def recursor(step, a):
-        validate = _VALIDATING.get()
-
         def s(x, ih):
-            def rec(x_next, lt):
-                lifted = embed(x_next, x, lt)
-                if validate and base.decide(x_next, x) is None:
-                    raise EvidenceError(
-                        f"embedding produced no descent from {x!r} to {x_next!r}"
-                    )
-                return ih(x_next, lifted)
+            return step(x, lambda x_next, lt: ih(x_next, embed(x_next, x, lt)))
 
-            return step(x, rec)
-
-        return base.wfrec(s, a)
+        # under validated_evidence(), wfrec re-checks each embedded descent
+        return wfrec(base, s, a)
 
     return WFRelation(carrier=name, decide=sub_decide, recursor=recursor)
 

@@ -123,7 +123,8 @@ def add(a: OrdinalNotation, b: OrdinalNotation) -> OrdinalNotation:
 #   term    := 'w' ('^' atom)? ('*' nat)? | nat ;
 #   atom    := nat | 'w' | '(' ordinal ')' ;
 #   nat     := [0-9]+ .
-_TOKEN = re.compile(r"[^\s()^*+w]+|\S")  # a run of other characters, or one syntax character
+# a run of ASCII digits, a run of other characters, or one syntax character
+_TOKEN = re.compile(r"[0-9]+|[^\s()^*+w0-9]+|\S")
 
 
 class ParseError(ValueError):
@@ -152,15 +153,11 @@ def parse_ordinal(text: str, depth_limit: int = 64) -> OrdinalNotation:
     def nat(expected: str) -> int:
         nonlocal i
         token = tokens[i]
-        if not token[:1].isdigit():
+        if not (token.isascii() and token.isdigit()):
             raise error(f"expected {expected}")
-        if not token.isdigit():  # digits run into other characters: split them off
-            digits = next(k for k, char in enumerate(token) if not char.isdigit())
-            token = token[:digits]
-            tokens[i : i + 1] = token, tokens[i][digits:]
         try:
             value = int(token)
-        except ValueError:  # too many digits for int(), or one it cannot read
+        except ValueError:  # too many digits for int()
             raise error(f"cannot read the {len(token)}-digit number") from None
         i += 1
         return value

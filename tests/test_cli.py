@@ -1,15 +1,18 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import wellfounded
 from wellfounded import multiset_of, nat_less
-from wellfounded.checks import named_descent_order
+from wellfounded.orders import named_descent_order
 from wellfounded.cli import main
 
 
@@ -220,6 +223,10 @@ class TestCheckCommand:
         (("demo", "fib", "+7"), 2),
         (("chain", "nat", "\u0663"), 2),
         (("pow", "compare", "1_0", "1"), 2),
+        (("ord", "normalize", "w*\u0663"), 2),
+        (("ord", "normalize", "w^\uff13"), 2),
+        (("chain", "ord", "w^\u0662"), 2),
+        (("ord", "normalize", "\u00b2"), 2),
     ],
     ids=[
         "pow-negative",
@@ -237,6 +244,10 @@ class TestCheckCommand:
         "fib-plus-sign",
         "nat-chain-arabic-indic-digit",
         "pow-compare-underscore",
+        "ord-arabic-indic-coefficient",
+        "ord-fullwidth-exponent",
+        "ord-chain-arabic-indic-exponent",
+        "ord-superscript-term",
     ],
 )
 def test_inputs_outside_the_carriers_are_json_errors(capsys, argv, expected):
@@ -308,6 +319,19 @@ def test_multiset_chain_starts_are_capped_at_key_30():
     for text in ("31", "2,458"):
         with pytest.raises(ValueError, match="above 30"):
             order.parse_start(text)
+
+
+def test_the_named_orders_do_not_import_the_battery():
+    script = 'import wellfounded.orders, sys; assert "wellfounded.checks" not in sys.modules'
+    src = os.path.dirname(os.path.dirname(wellfounded.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 SMALL = st.integers(0, 40).map(str)

@@ -38,13 +38,8 @@ from wellfounded import (
     unification_ordering,
     wfrec,
 )
-from wellfounded.checks import (
-    _MULTISET_SIZE_CAP,
-    _capped_multiset_count,
-    all_multisets,
-    descending_chain_step,
-    properly_divides,
-)
+from wellfounded.checks import all_multisets, descending_chain_step, properly_divides
+from wellfounded.orders import _MULTISET_SIZE_CAP, _capped_multiset_count
 from wellfounded.derived import FiniteFunction, SteppedTuple, level_relation, lift_payload
 from wellfounded.power import DescendingList, DescentCert
 
