@@ -135,14 +135,10 @@ def random_notation(rng: random.Random, depth: int) -> OrdinalNotation:
     """A seeded random notation with exponents nested up to ``depth``."""
     if depth == 0 or rng.random() < 0.3:
         return ord_mod.from_nat(rng.randrange(0, 4))
-    exponents: list = []
-    for _ in range(rng.randrange(1, 4)):
-        candidate = random_notation(rng, depth - 1)
-        if all(compare(candidate, seen) is not Ordering.EQ for seen in exponents):
-            exponents.append(candidate)
-    exponents.sort(reverse=True)
-    return OrdinalNotation(
-        tuple((exponent, rng.randrange(1, 4)) for exponent in exponents)
+    drawn = [random_notation(rng, depth - 1) for _ in range(rng.randrange(1, 4))]
+    drawn.sort(reverse=True)  # then equal exponents are adjacent
+    return ord_mod._normal_form(
+        tuple((exponent, rng.randrange(1, 4)) for exponent, _ in itertools.groupby(drawn))
     )
 
 

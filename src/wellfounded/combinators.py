@@ -20,6 +20,7 @@ from .core import (
     EvidenceError,
     UndecidableError,
     WFRelation,
+    _evaluate,
     wfrec,
 )
 
@@ -77,7 +78,7 @@ def inverse_image(
 
             return at
 
-        return base.wfrec(s, measure(a))(a)
+        return _evaluate(s, measure(a), base.recursor, lambda at: at(a))
 
     return WFRelation(
         carrier=name, decide=decide, predecessors=predecessors, recursor=recursor
@@ -180,18 +181,6 @@ def _search_chain(base: WFRelation, lower, upper) -> Optional[ChainEvidence]:
     return None
 
 
-def _inside(base: WFRelation, s, a, finish):
-    # finish(base.wfrec(s, a)), computed before the first step returns, so
-    # every callback that finish makes reaches an evaluation still open
-    pending = [finish]
-
-    def first(x, ih):
-        value = s(x, ih)
-        return pending.pop()(value) if pending else value
-
-    return base.wfrec(first, a)
-
-
 def transitive_closure(base: WFRelation) -> WFRelation:
     """The strict transitive closure of ``base``; evidence is a chain.
 
@@ -236,7 +225,7 @@ def transitive_closure(base: WFRelation) -> WFRelation:
             handle.below = ih
             return handle
 
-        return _inside(base, s, a, lambda handle: step(a, handle))
+        return _evaluate(s, a, base.recursor, lambda handle: step(a, handle))
 
     return WFRelation(
         carrier=name,
@@ -424,7 +413,7 @@ def lex_family(
 
             return column
 
-        return rel_a.wfrec(p1, x0)(y0)
+        return _evaluate(p1, x0, rel_a.recursor, lambda column: column(y0))
 
     return WFRelation(carrier=name, decide=decide, recursor=recursor)
 

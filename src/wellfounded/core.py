@@ -19,7 +19,8 @@ on return; steps must be deterministic, as the recursion equation already
 requires.  Its depth budget (env ``WFREC_DEPTH``, read once per top-level
 call) counts every step and is shared by nested evaluators, such as the
 columns of a lexicographic order: a step runs one level below the running
-step, unless that one is the glue of an evaluation opened later.
+step, unless that one is the glue of an evaluation opened later.  A composed
+relation finishes inside its base evaluation, never calling a finished one.
 """
 
 from __future__ import annotations
@@ -129,11 +130,15 @@ _opened = itertools.count(1)  # numbers evaluations in the order they open
 _MISS = object()  # what a memo lookup yields for an element it has not seen
 
 
-def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
+def _evaluate(step: StepFunction, a: Any, recursor=None, finish=None) -> Any:
     # The recursion evaluator.  ``memoized`` is its one runner of steps: it
     # runs the step at most once per element of this evaluation.  Without
     # a recursor the evaluator unfolds the recursion equation through it;
     # a recursor is handed it as the step.  The memo is freed on return.
+    # A composed relation opens its base with a ``finish``, which the root's
+    # run (the first to start) applies once the running depth and owner are
+    # put back: at the caller's level, inside every open evaluation.  Its glue
+    # step does not call back, so no other run ends at ``root`` meanwhile.
     #
     # The per-thread ``running`` list holds the depth and the evaluation of
     # the innermost running step, and the budget, which only the top-level
@@ -151,8 +156,15 @@ def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
         running[2] = budget
     memo: dict = {}
     mine = next(_opened)
+    root = _MISS  # the root's element, from the start of its run until its finish
+    if finish is not None:
+        def step(x, rec, run=step):  # the root's run; later runs call ``run``
+            nonlocal step, root
+            step, root = run, x
+            return run(x, rec)
 
     def memoized(x, rec):
+        nonlocal root
         try:
             if x in memo:
                 return memo[x]
@@ -171,6 +183,9 @@ def _evaluate(step: StepFunction, a: Any, recursor=None) -> Any:
         finally:
             running[0] = outer
             running[1] = owner
+        if x is root:
+            root = _MISS
+            value = finish(value)
         try:
             memo[x] = value
         except TypeError:

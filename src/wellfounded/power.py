@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from .core import _MISS, EvidenceError, UndecidableError, WFRelation
-from .combinators import _inside, _walk_below, single_step, transitive_closure
+from .core import _MISS, EvidenceError, UndecidableError, WFRelation, _evaluate
+from .combinators import _walk_below, single_step, transitive_closure
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def pow_relation(rel: WFRelation) -> WFRelation:
             # head is the closure's callback at the head of z
             return step(z, handler(elements, descend([head], elements, z.cert.steps, 1)))
 
-        return _inside(closure, lambda _x, ih: ih, elements[0], fold)
+        return _evaluate(lambda _x, ih: ih, elements[0], closure.recursor, fold)
 
     return WFRelation(
         carrier=name,

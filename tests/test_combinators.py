@@ -283,6 +283,24 @@ class TestTransitiveClosure:
         assert wfrec(power, rank, descending(less, (5, 3, 1))) == 42
         assert late == []
 
+        # an inverse image applies its ``at``, and a lex order its first
+        # column, inside the base evaluation.  Left out: a lex order that is
+        # the base of an inverse image, closure or power, such as the tuple
+        # powers of ``stepped_lex``.  Its column evaluation returns the
+        # outer glue's function and ends before that function is called.
+        halves = inverse_image(less, lambda x: x // 2)
+        pairs = lex_product(less, nat_less())
+        grid = [(x, y) for x in range(6) for y in range(6)]
+        family = lex_family(less, lambda x: inverse_image(less, lambda y: y % (x + 1)))
+        for rel, pool, top in (
+            (halves, range(31), 30),
+            (pairs, grid, (5, 0)),
+            (family, grid, (5, 5)),
+        ):
+            expected, _reached = census_by_decide(rel, pool, top)
+            assert wfrec(rel, census_step(rel, pool), top) == expected
+            assert late == []
+
     def test_undecidable_without_enumeration(self):
         bare = WFRelation(
             carrier="bare",
@@ -495,6 +513,18 @@ class TestDisjointSum:
 
         got = [wfrec(summed, position, z) for z in pool]
         assert got == [0, 1, 2, 3, 4, 5]
+
+    def test_left_step_cannot_call_a_right_element(self):
+        # every left lies below every right, so the evidence is well formed,
+        # but it points the wrong way: the left side's callback refuses it
+        summed = disjoint_sum(nat_less(), nat_less())
+        upward = summed.decide(Inl(3), Inr(0))
+
+        def step(z, rec):
+            return rec(Inr(0), upward) if isinstance(z, Inl) else 0
+
+        with pytest.raises(EvidenceError, match="no right element lies below a left one"):
+            wfrec(summed, step, Inl(3))
 
 
 class TestLexicographic:

@@ -36,9 +36,15 @@ from wellfounded import (
     stepped_lex,
     subrelation,
     unification_ordering,
+    validated_evidence,
     wfrec,
 )
-from wellfounded.checks import all_multisets, descending_chain_step, properly_divides
+from wellfounded.checks import (
+    all_multisets,
+    census_step,
+    descending_chain_step,
+    properly_divides,
+)
 from wellfounded.orders import _MULTISET_SIZE_CAP, _capped_multiset_count
 from wellfounded.derived import FiniteFunction, SteppedTuple, level_relation, lift_payload
 from wellfounded.power import DescendingList, DescentCert
@@ -388,6 +394,31 @@ class TestUnificationOrdering:
         lower = (App("g", (self.x,)), self.y)
         upper = (App("f", (self.x,)), self.y)
         assert self.order.decide(lower, upper) is None
+
+    def test_recursion_embeds_both_kinds_of_descent(self):
+        # a subrelation of an inverse image of a lex product whose column is
+        # a closure: each call converts its evidence to the lex branch
+        x, y = self.x, self.y
+        gy = App("g", (y,))
+        fxgy = App("f", (x, gy))
+        expressions = [x, y, gy, App("f", (x, y)), fxgy, App("h", (fxgy,))]
+        pairs = [(first, second) for first in expressions for second in (x, y)]
+        top = (App("h", (fxgy,)), x)
+        census, kinds = census_step(self.order, pairs), set()
+
+        def step(pair, rec):
+            def noted(lower, evidence):
+                kinds.add("fewer" if evidence.fewer_vars is not None else "structural")
+                return rec(lower, evidence)
+
+            return census(pair, noted)
+
+        released = wfrec(self.order, step, top)
+        assert kinds == {"fewer", "structural"}
+        assert check_recursion_equation(self.order, census, pairs).ok
+        with validated_evidence():
+            assert wfrec(self.order, census, top) == released
+            assert check_recursion_equation(self.order, census, pairs).ok
 
 
 class TestDescents:

@@ -76,6 +76,31 @@ class TestCompare:
                 assert compare(a, c) is Ordering.LT
 
 
+def random_notation_by_pairwise_dedup(rng, depth):
+    # the oracle: each candidate exponent is compared with every one kept,
+    # and the notation is built by the checking constructor
+    if depth == 0 or rng.random() < 0.3:
+        return from_nat(rng.randrange(0, 4))
+    exponents = []
+    for _ in range(rng.randrange(1, 4)):
+        candidate = random_notation_by_pairwise_dedup(rng, depth - 1)
+        if all(compare(candidate, seen) is not Ordering.EQ for seen in exponents):
+            exponents.append(candidate)
+    exponents.sort(reverse=True)
+    return OrdinalNotation(tuple((exponent, rng.randrange(1, 4)) for exponent in exponents))
+
+
+@pytest.mark.parametrize("depth", range(6))
+def test_random_notation_draws_what_pairwise_dedup_drew(depth):
+    for seed in range(60):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            drawn = random_notation(rng, depth)
+            assert drawn == random_notation_by_pairwise_dedup(oracle_rng, depth)
+            assert OrdinalNotation(drawn.terms) == drawn  # the checks still pass
+        assert rng.getstate() == oracle_rng.getstate()
+
+
 class TestNormalize:
     def test_lower_prefix_absorbed(self):
         assert normalize([(ZERO_ORD, 1), (ONE, 1)]) == OMEGA
