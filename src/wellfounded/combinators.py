@@ -43,7 +43,7 @@ def subrelation(
         def s(x, ih):
             return step(x, lambda x_next, lt: ih(x_next, embed(x_next, x, lt)))
 
-        # under validated_evidence(), wfrec re-checks each embedded descent
+        # the one glue that validates: wfrec re-checks each embedded descent
         return wfrec(base, s, a)
 
     return WFRelation(carrier=name, decide=sub_decide, recursor=recursor)
@@ -324,7 +324,7 @@ def disjoint_sum(rel_a: WFRelation, rel_b: WFRelation) -> WFRelation:
 
                 return step(Inl(x), rec)
 
-            return rel_a.wfrec(p1, x0)
+            return _evaluate(p1, x0, rel_a.recursor)
 
         def right(y0):
             def r1(y, ih_b):
@@ -335,7 +335,7 @@ def disjoint_sum(rel_a: WFRelation, rel_b: WFRelation) -> WFRelation:
 
                 return step(Inr(y), rec)
 
-            return rel_b.wfrec(r1, y0)
+            return _evaluate(r1, y0, rel_b.recursor)
 
         return left(z.value) if isinstance(z, Inl) else right(z.value)
 
@@ -409,7 +409,7 @@ def lex_family(
 
                     return step((x, y), rec)
 
-                return family(x).wfrec(q2, y_start)
+                return _evaluate(q2, y_start, family(x).recursor)
 
             return column
 

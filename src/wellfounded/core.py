@@ -10,7 +10,8 @@ when the relation is genuinely well-founded.
 Evidence values are ordinary data.  In release mode recursion never
 inspects them; inside ``with validated_evidence():`` every recursive call
 that the current thread and context make re-checks its evidence against
-``decide``.
+``decide``.  ``wfrec(rel, step, a)`` and ``rel.wfrec(step, a)`` are one
+call, and both validate.
 
 All recursion runs through one evaluator, whose one runner runs every step,
 for composed relations too.  It memoizes step values per top-level call, so
@@ -20,7 +21,9 @@ requires.  Its depth budget (env ``WFREC_DEPTH``, read once per top-level
 call) counts every step and is shared by nested evaluators, such as the
 columns of a lexicographic order: a step runs one level below the running
 step, unless that one is the glue of an evaluation opened later.  A composed
-relation finishes inside its base evaluation, never calling a finished one.
+relation finishes inside its base evaluation: the base's first run takes the
+finish.  One case still calls a finished evaluation: a lex order that is the
+base of an inverse image, closure or power.
 """
 
 from __future__ import annotations
@@ -119,6 +122,14 @@ class WFRelation:
     recursor: Optional[Callable[[StepFunction, Any], Any]] = None
 
     def wfrec(self, step: StepFunction, a: Any) -> Any:
+        """Evaluate ``step`` by recursion over this relation.
+
+        The result satisfies ``wfrec(rel, step, a) ==
+        step(a, lambda x, e: wfrec(rel, step, x))`` and evaluation terminates.
+        ``wfrec(rel, step, a)`` and ``rel.wfrec(step, a)`` are one call.
+        """
+        if _VALIDATING.get():
+            step = _validating_step(self, step)
         return _evaluate(step, a, self.recursor)
 
     def __repr__(self) -> str:
@@ -135,10 +146,9 @@ def _evaluate(step: StepFunction, a: Any, recursor=None, finish=None) -> Any:
     # runs the step at most once per element of this evaluation.  Without
     # a recursor the evaluator unfolds the recursion equation through it;
     # a recursor is handed it as the step.  The memo is freed on return.
-    # A composed relation opens its base with a ``finish``, which the root's
-    # run (the first to start) applies once the running depth and owner are
-    # put back: at the caller's level, inside every open evaluation.  Its glue
-    # step does not call back, so no other run ends at ``root`` meanwhile.
+    # A composed relation opens its base with a ``finish``.  The first run to
+    # start takes it, and applies it to its value once the running depth and
+    # owner are put back: at the caller's level, inside every open evaluation.
     #
     # The per-thread ``running`` list holds the depth and the evaluation of
     # the innermost running step, and the budget, which only the top-level
@@ -156,15 +166,9 @@ def _evaluate(step: StepFunction, a: Any, recursor=None, finish=None) -> Any:
         running[2] = budget
     memo: dict = {}
     mine = next(_opened)
-    root = _MISS  # the root's element, from the start of its run until its finish
-    if finish is not None:
-        def step(x, rec, run=step):  # the root's run; later runs call ``run``
-            nonlocal step, root
-            step, root = run, x
-            return run(x, rec)
 
     def memoized(x, rec):
-        nonlocal root
+        nonlocal finish
         try:
             if x in memo:
                 return memo[x]
@@ -178,14 +182,14 @@ def _evaluate(step: StepFunction, a: Any, recursor=None, finish=None) -> Any:
             )
         running[0] = depth
         running[1] = mine
+        then, finish = finish, None
         try:
             value = step(x, rec)
         finally:
             running[0] = outer
             running[1] = owner
-        if x is root:
-            root = _MISS
-            value = finish(value)
+        if then is not None:
+            value = then(value)
         try:
             memo[x] = value
         except TypeError:
@@ -254,15 +258,7 @@ def _validating_step(rel: WFRelation, step: StepFunction) -> StepFunction:
     return wrapped
 
 
-def wfrec(rel: WFRelation, step: StepFunction, a: Any) -> Any:
-    """Evaluate ``step`` by recursion over ``rel``.
-
-    The result satisfies ``wfrec(rel, step, a) ==
-    step(a, lambda x, e: wfrec(rel, step, x))`` and evaluation terminates.
-    """
-    if _VALIDATING.get():
-        step = _validating_step(rel, step)
-    return rel.wfrec(step, a)
+wfrec = WFRelation.wfrec
 
 
 # ---------------------------------------------------------------------------

@@ -74,19 +74,21 @@ def _tower(bottom: WFRelation, grow: Callable[[WFRelation, int], WFRelation]):
 
 def stepped_lex(rel: WFRelation) -> WFRelation:
     """Shorter tuples precede longer ones; equal lengths compare pointwise."""
-    # the width-n power: lexicographic on the head, then the width n-1 tail
+    # the width-n power orders nested pairs (c0, (c1, ... ())): lexicographic
+    # on the head, then the width n-1 tail
     powers = _tower(
         empty_relation(carrier=f"{rel.carrier}^0"),
-        lambda tails, n: inverse_image(
-            lex_product(rel, tails), lambda t: (t[0], t[1:]), carrier=f"{rel.carrier}^{n}"
-        ),
+        lambda tails, n: lex_family(rel, lambda _head: tails, carrier=f"{rel.carrier}^{n}"),
     )
     base = lex_family(nat_less(), powers, carrier=f"arity-then-{rel.carrier}")
-    return inverse_image(
-        base,
-        lambda t: (t.arity, t.components),
-        carrier=f"stepped({rel.carrier})",
-    )
+
+    def measure(t):
+        nested = ()
+        for component in reversed(t.components):
+            nested = (component, nested)
+        return t.arity, nested
+
+    return inverse_image(base, measure, carrier=f"stepped({rel.carrier})")
 
 
 # ---------------------------------------------------------------------------

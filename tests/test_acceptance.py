@@ -12,7 +12,8 @@ import time
 
 import pytest
 
-from wellfounded.checks import PROPERTIES
+from wellfounded import validated_evidence
+from wellfounded.checks import PROPERTIES, run_all
 
 
 @pytest.mark.parametrize(
@@ -28,6 +29,14 @@ def test_property(name, check, full):
     status = "PASS" if ok else "FAIL"
     print(f"{status} {name} ({problem or 'no failure'}, {elapsed:.1f}s)")
     assert ok, f"{name}: {problem or f'took {elapsed:.0f}s'}"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_small_battery_passes_under_validation(seed):
+    # every recursive call the battery makes re-checks its evidence
+    with validated_evidence():
+        results = run_all(seed)
+    assert [(result.name, result.detail) for result in results if not result.ok] == []
 
 
 # ``programs`` and ``tree-characterization`` each reproduce two criteria.

@@ -285,9 +285,10 @@ class TestTransitiveClosure:
 
         # an inverse image applies its ``at``, and a lex order its first
         # column, inside the base evaluation.  Left out: a lex order that is
-        # the base of an inverse image, closure or power, such as the tuple
-        # powers of ``stepped_lex``.  Its column evaluation returns the
-        # outer glue's function and ends before that function is called.
+        # the base of an inverse image, closure or power, such as the lex
+        # families under ``stepped_lex`` and ``nested_multiset_relation``.
+        # Its column evaluation returns the outer glue's function and ends
+        # before that function is called.
         halves = inverse_image(less, lambda x: x // 2)
         pairs = lex_product(less, nat_less())
         grid = [(x, y) for x in range(6) for y in range(6)]

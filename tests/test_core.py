@@ -1,3 +1,4 @@
+import collections
 import os
 import subprocess
 import sys
@@ -87,6 +88,16 @@ class TestWfrec:
         with validated_evidence():
             with pytest.raises(EvidenceError):
                 wfrec(nat_less(), cheating, 1)
+
+    def test_the_method_is_the_function_and_validates_too(self):
+        def upward(n, rec):
+            return rec(n + 1, nat_less_decide(0, 1)) if n < 3 else 3
+
+        assert wellfounded.wfrec is WFRelation.wfrec
+        assert nat_less().wfrec(upward, 0) == 3
+        with validated_evidence():
+            with pytest.raises(EvidenceError, match="no descent from 0 to 1 in nat"):
+                nat_less().wfrec(upward, 0)
 
 
 def column_then_drop(top):
@@ -395,6 +406,56 @@ class TestEvidenceSwitch:
         finally:
             release.set()
             worker.join()
+
+
+def counting_nat(counts, name):
+    # nat_less whose decide counts its calls under ``name``
+    def decide(lower, upper):
+        counts[name] += 1
+        return nat_less_decide(lower, upper)
+
+    return replace(nat_less(), carrier=name, decide=decide)
+
+
+@pytest.mark.parametrize(
+    "build, pool, top",
+    [
+        (lex_product, [(x, y) for x in range(3) for y in range(3)], (2, 2)),
+        (disjoint_sum, [side(n) for side in (Inl, Inr) for n in range(4)], Inr(3)),
+    ],
+    ids=["lex", "sum"],
+)
+def test_validation_checks_each_call_once(build, pool, top):
+    # Validation re-checks each recursive call once, by the outer decide:
+    # neither a lex column nor a sum side checks its own calls again.
+    counts = collections.Counter()
+    order = build(counting_nat(counts, "a"), counting_nat(counts, "b"))
+    calls = []
+
+    def census(x, rec):
+        total = 1
+        for y in pool:
+            evidence = order.decide(y, x)
+            if evidence is not None:
+                calls.append((y, x))
+                total += rec(y, evidence)
+        return total
+
+    value = wfrec(order, census, top)
+    unchecked, recursed = counts.copy(), list(calls)
+    counts.clear()
+    calls.clear()
+    with validated_evidence():
+        assert wfrec(order, census, top) == value
+    checked = counts.copy()
+    assert calls == recursed
+    counts.clear()
+    for callee, caller in recursed:
+        order.decide(callee, caller)
+    assert counts["a"] and counts["b"]
+    assert {name: checked[name] - unchecked[name] for name in "ab"} == {
+        name: counts[name] for name in "ab"
+    }
 
 
 class TestNatLessDecide:

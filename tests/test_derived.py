@@ -20,6 +20,7 @@ from wellfounded import (
     finite_function,
     fuzz_descent,
     inverse_image,
+    lex_family,
     lex_first,
     lex_product,
     multiset_of,
@@ -46,7 +47,13 @@ from wellfounded.checks import (
     properly_divides,
 )
 from wellfounded.orders import _MULTISET_SIZE_CAP, _capped_multiset_count
-from wellfounded.derived import FiniteFunction, SteppedTuple, level_relation, lift_payload
+from wellfounded.derived import (
+    FiniteFunction,
+    SteppedTuple,
+    _tower,
+    level_relation,
+    lift_payload,
+)
 from wellfounded.power import DescendingList, DescentCert
 
 NAT = nat_less()
@@ -92,6 +99,42 @@ class TestSteppedLex:
             order, descending_chain_step(order, tuples), tuples
         )
         assert report.ok
+
+
+def sliced_stepped_lex(rel):
+    # stepped_lex with each tuple power pulled back from a lex product along
+    # (t[0], t[1:]): the oracle for the powers on nested pairs
+    powers = _tower(
+        empty_relation(carrier=f"{rel.carrier}^0"),
+        lambda tails, n: inverse_image(
+            lex_product(rel, tails), lambda t: (t[0], t[1:]), carrier=f"{rel.carrier}^{n}"
+        ),
+    )
+    base = lex_family(nat_less(), powers, carrier=f"arity-then-{rel.carrier}")
+    return inverse_image(
+        base, lambda t: (t.arity, t.components), carrier=f"stepped({rel.carrier})"
+    )
+
+
+def test_stepped_lex_matches_the_sliced_powers():
+    order, oracle = stepped_lex(NAT), sliced_stepped_lex(NAT)
+    tuples = [
+        stepped(*components)
+        for size in range(5)
+        for components in itertools.product(range(3), repeat=size)
+    ]
+    for lower in tuples:
+        for upper in tuples:
+            assert decide_outcome(order, lower, upper) == decide_outcome(oracle, lower, upper)
+    # the chain meets each tuple's immediate predecessor first: 120 levels
+    values = [
+        (
+            wfrec(rel, descending_chain_step(rel, tuples[::-1]), tuples[-1]),
+            wfrec(rel, census_step(rel, tuples[:40]), tuples[39]),
+        )
+        for rel in (order, oracle)
+    ]
+    assert values[0] == values[1] == (120, 2 ** 39)
 
 
 class TestFiniteFunctions:
