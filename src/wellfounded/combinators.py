@@ -72,6 +72,9 @@ def inverse_image(
         def s(_y, ih):
             def at(z):
                 def rec(x_next, ls):
+                    value = step.recall(x_next)  # stepped already: no measure, no base call
+                    if value is not _MISS:
+                        return value
                     return ih(measure(x_next), ls)(x_next)
 
                 return step(z, rec)
@@ -316,6 +319,10 @@ def disjoint_sum(rel_a: WFRelation, rel_b: WFRelation) -> WFRelation:
 
     def recursor(step, z):
         def left(x0):
+            value = step.recall(Inl(x0))  # stepped already: no side to open
+            if value is not _MISS:
+                return value
+
             def p1(x, ih_a):
                 def rec(z_next, evidence):
                     if isinstance(z_next, Inr):
@@ -400,6 +407,10 @@ def lex_family(
         def p1(x, ih_a):
             # ih_a(x', evidence) yields the whole-column function at x'
             def column(y_start):
+                value = step.recall((x, y_start))  # stepped already: no column to open
+                if value is not _MISS:
+                    return value
+
                 def q2(y, ih_b):
                     def rec(z_next, evidence):
                         x_next, y_next = z_next

@@ -27,6 +27,8 @@ from wellfounded import (
     nat_less_decide,
     pow_relation,
     refl_trans_reachable,
+    stepped,
+    stepped_lex,
     subrelation,
     transitive_closure,
     validate_chain,
@@ -45,7 +47,8 @@ from wellfounded.checks import (
     random_dag,
     successor_relation,
 )
-from wellfounded.combinators import ChainEvidence, lex_second
+from wellfounded import core
+from wellfounded.combinators import ChainEvidence, SumEvidence, lex_first, lex_second
 
 
 class TestSubrelation:
@@ -284,19 +287,22 @@ class TestTransitiveClosure:
         assert late == []
 
         # an inverse image applies its ``at``, and a lex order its first
-        # column, inside the base evaluation.  Left out: a lex order that is
-        # the base of an inverse image, closure or power, such as the lex
-        # families under ``stepped_lex`` and ``nested_multiset_relation``.
-        # Its column evaluation returns the outer glue's function and ends
-        # before that function is called.
+        # column, inside the base evaluation; ``stepped_lex``, an inverse
+        # image of lex families, answers a first-component call from the
+        # memo before it opens a column.  Left out: the lex family under
+        # ``nested_multiset_relation``, whose column evaluation can still
+        # return the outer glue's function and end before that function is
+        # called.
         halves = inverse_image(less, lambda x: x // 2)
         pairs = lex_product(less, nat_less())
         grid = [(x, y) for x in range(6) for y in range(6)]
         family = lex_family(less, lambda x: inverse_image(less, lambda y: y % (x + 1)))
+        tuples = [stepped(*c) for n in range(4) for c in itertools.product(range(3), repeat=n)]
         for rel, pool, top in (
             (halves, range(31), 30),
             (pairs, grid, (5, 0)),
             (family, grid, (5, 5)),
+            (stepped_lex(less), tuples, stepped(2, 2, 2)),
         ):
             expected, _reached = census_by_decide(rel, pool, top)
             assert wfrec(rel, census_step(rel, pool), top) == expected
@@ -642,7 +648,35 @@ def census_by_decide(rel, pool, top):
     return value(top), set(values)
 
 
+# the evaluations a census may open: its own and its bases', and a lex
+# column or a sum's left side only at an element the census has not yet
+# stepped, which that evaluation then steps.  Without the memo recall, the
+# lex census over the 4 x 4 grid opens 99 and the 5 + 5 sum census 27.
+OPENED_AT_MOST = {
+    "closure": lambda reached: 2,  # the census, the base
+    "pow": lambda reached: 3,  # the census, the closure, the base
+    # the census, the first components, at most a column per element
+    "lex": lambda reached: 2 + len(reached),
+    "lex-family": lambda reached: 2 + len(reached),
+    # the census, the right side, at most a left side per left element
+    "sum": lambda reached: 2 + sum(isinstance(z, Inl) for z in reached),
+    "inverse-image": lambda reached: 2,  # the census, the base
+    "subrelation": lambda reached: 2,  # the census, the base
+    # the census, the power, its closure, the entries' first components,
+    # and at most a column per entry
+    "multiset": lambda reached: 4 + len({entry for m in reached for entry in m.entries}),
+}
+
+
 class TestOneStepPerElement:
+    @pytest.mark.parametrize("name", sorted(CENSUS_CASES))
+    def test_evaluations_opened_stay_bounded(self, name):
+        rel, pool, top = CENSUS_CASES[name]()
+        expected, reached = census_by_decide(rel, pool, top)
+        first = next(core._opened)
+        assert wfrec(rel, census_step(rel, pool), top) == expected
+        assert next(core._opened) - first - 1 <= OPENED_AT_MOST[name](reached)
+
     @pytest.mark.parametrize("name", sorted(CENSUS_CASES))
     def test_census_steps_once_per_element(self, name):
         rel, pool, top = CENSUS_CASES[name]()
@@ -696,3 +730,49 @@ class TestOneStepPerElement:
         with validated_evidence():
             with pytest.raises(EvidenceError):
                 wfrec(pairs, step, (1, 1))
+
+    def test_recalled_calls_still_check_evidence(self):
+        # each step calls up to an element already in the memo; the lex order
+        # and the inverse image answer such a call from the memo, without
+        # opening a column or measuring the element
+        pairs = lex_product(nat_less(), nat_less())
+
+        def on_pairs(pair, rec):
+            if pair == (2, 0):
+                return rec((1, 0), lex_first(nat_less_decide(1, 2))) + rec(
+                    (0, 0), lex_first(nat_less_decide(0, 2))
+                )
+            if pair == (0, 0):  # a first-component call up to (1, 0)
+                return rec((1, 0), lex_first(nat_less_decide(0, 1)))
+            return 1
+
+        # every left element lies below every right one, so no verdict can
+        # refuse a right-to-left jump: the left side that the second jump
+        # opens calls up to the left element that the first jump stepped
+        sums = disjoint_sum(nat_less(), nat_less())
+
+        def on_sums(z, rec):
+            if z == Inr(0):
+                return rec(Inl(2), sums.decide(Inl(2), z)) + rec(Inl(0), sums.decide(Inl(0), z))
+            if z == Inl(0):
+                return rec(Inl(2), SumEvidence("left_left", nat_less_decide(0, 2)))
+            return 1
+
+        lengths = inverse_image(nat_less(), len)
+
+        def on_lengths(word, rec):
+            if word == "abc":
+                return rec("ab", nat_less_decide(2, 3)) + rec("a", nat_less_decide(1, 3))
+            if word == "a":  # up to "ab", by the evidence for 1 < 2
+                return rec("ab", nat_less_decide(1, 2))
+            return 1
+
+        for rel, step, top in (
+            (pairs, on_pairs, (2, 0)),
+            (sums, on_sums, Inr(0)),
+            (lengths, on_lengths, "abc"),
+        ):
+            assert wfrec(rel, step, top) == 2
+            with validated_evidence():
+                with pytest.raises(EvidenceError):
+                    wfrec(rel, step, top)

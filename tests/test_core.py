@@ -552,6 +552,7 @@ class TestNatWfrec:
             return 0 if n == 0 else n + rec(n - 1, nat_less_decide(n - 1, n))
 
         nat = nat_less()
+        assert nat == nat_less()  # what nat_wfrec recurses over
         for n in range(51):
             assert nat_wfrec(triangular, n) == wfrec(nat, triangular, n)
         for n in range(21):
