@@ -7,11 +7,13 @@ function may only recurse through the callback it is handed, and must
 present evidence for every recursive call; evaluation always terminates
 when the relation is genuinely well-founded.
 
-Evidence values are ordinary data.  In release mode recursion never
-inspects them; inside ``with validated_evidence():`` every recursive call
-that the current thread and context make re-checks its evidence against
-``decide``.  ``wfrec(rel, step, a)`` and ``rel.wfrec(step, a)`` are one
-call, and both validate.
+Evidence values are ordinary data.  A release run trusts them: no call is
+re-checked against ``decide``, though a composed relation reads the part of
+the evidence that routes the call (a lex order's branch, a list's
+divergence index, a closure's chain).  Inside ``with validated_evidence():``
+every recursive call that the current thread and context make re-checks its
+evidence against ``decide``.  ``wfrec(rel, step, a)`` and
+``rel.wfrec(step, a)`` are one call, and both validate.
 
 All recursion runs through one evaluator, whose one runner runs every step,
 for composed relations too.  It memoizes step values per top-level call, so
@@ -412,8 +414,9 @@ def check_unique_solution(rel: WFRelation, step: StepFunction, candidate, elemen
     """True iff ``candidate`` solves the recursion equation on a finite carrier.
 
     A candidate that solves the equation pointwise must coincide with the
-    recursion operator everywhere; that is re-checked and a violation raises,
-    since it would mean the relation is not actually well-founded.
+    recursion operator everywhere; that is re-checked, and a violation raises
+    ``WellFoundedError``, since it would mean the relation is not actually
+    well-founded or its recursion operator is broken.
     """
     elements = tuple(elements)
     look = candidate.__getitem__ if isinstance(candidate, Mapping) else candidate
@@ -423,7 +426,7 @@ def check_unique_solution(rel: WFRelation, step: StepFunction, candidate, elemen
     for a in elements:
         expected = wfrec(rel, step, a)
         if look(a) != expected:
-            raise AssertionError(
+            raise WellFoundedError(
                 f"solution table satisfies the equation but differs from wfrec at {a!r}"
             )
     return True

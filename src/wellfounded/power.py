@@ -7,13 +7,14 @@ the carrier to lists whose elements strictly descend repairs this.  A
 and the relation compares underlying lists lexicographically.
 
 The recursion operator runs in one evaluation over the *transitive
-closure* of the element order, started at the list's head, whose value at
-an element is the closure's callback there.  A list's handler keeps the
-callback at each of its elements.  A list below it shares those of the
-common prefix, whose length its lexicographic evidence stores as one
-count, and reaches each later element with one closure step: the
-evidence's head witness first, then the list's own certificate links.
-Each list is walked once, by index.
+closure* of the element order, started at the list's head.  Its base step
+returns the callback it is handed, the one that closures and inverse images
+open their base with, so the closure's value at an element is its callback
+there.  A list's handler keeps the callback at each of its elements.  A
+list below it shares those of the common prefix, whose length its
+lexicographic evidence stores as one count, and reaches each later element
+with one closure step: the evidence's head witness first, then the list's
+own certificate links.  Each list is walked once, by index.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
 from .core import _MISS, EvidenceError, UndecidableError, WFRelation, _evaluate
-from .combinators import _walk_below, single_step, transitive_closure
+from .combinators import _callback, _walk_below, single_step, transitive_closure
 
 
 @dataclass(frozen=True)
@@ -238,7 +239,7 @@ def pow_relation(rel: WFRelation) -> WFRelation:
             # head is the closure's callback at the head of z
             return step(z, handler(elements, descend([head], elements, z.cert.steps, 1)))
 
-        return _evaluate(lambda _x, ih: ih, elements[0], closure.recursor, fold)
+        return _evaluate(_callback, elements[0], closure.recursor, fold)
 
     return WFRelation(
         carrier=name,

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import weakref
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,7 @@ from wellfounded import (
     check_recursion_equation,
     descending,
     disjoint_sum,
+    finfun_exp,
     finite_power_decide,
     inverse_image,
     lex_family,
@@ -286,10 +288,19 @@ class TestTransitiveClosure:
         assert wfrec(power, rank, descending(less, (5, 3, 1))) == 42
         assert late == []
 
-        # an inverse image applies its ``at``, and a lex order its first
-        # column, inside the base evaluation; ``stepped_lex``, an inverse
-        # image of lex families, answers a first-component call from the
-        # memo before it opens a column.  Left out: the lex family under
+        # a finite-function census whose values the recording base orders:
+        # the power's closure keeps its lex columns' callbacks inside open
+        # evaluations
+        finfuns, pool = finfun_exp(nat_less(), less), all_multisets(range(3), 4)
+        top = multiset_of(nat_less(), (2, 2, 1, 1))  # the function {2: 2, 1: 2}
+        expected, _reached = census_by_decide(finfuns, pool, top)
+        assert wfrec(finfuns, census_step(finfuns, pool), top) == expected
+        assert late == []
+
+        # an inverse image runs its step at the start, and a lex order opens
+        # its first column, inside the base evaluation; ``stepped_lex``, an
+        # inverse image of lex families, answers a first-component call from
+        # the memo before it opens a column.  Left out: the lex family under
         # ``nested_multiset_relation``, whose column evaluation can still
         # return the outer glue's function and end before that function is
         # called.
@@ -583,6 +594,28 @@ class TestLexicographic:
         elif pairs.decide(lower, upper) is not None:
             assert pairs.decide(upper, lower) is None
 
+    @pytest.mark.parametrize("validated", [False, True])
+    def test_second_component_call_must_keep_the_first(self, validated):
+        # (2, 9) lies below (3, 5), but on the first component: the second-
+        # component witness stands for equal firsts, so it cannot reach it
+        pairs = lex_product(nat_less(), nat_less())
+        summed = disjoint_sum(pairs, nat_less())
+        wrong_way = lex_second(nat_less_decide(4, 5))
+
+        def on_pairs(pair, rec):
+            return rec((2, 9), wrong_way) if pair == (3, 5) else 0
+
+        def on_sum(z, rec):
+            if z == Inl((3, 5)):
+                return rec(Inl((2, 9)), SumEvidence("left_left", wrong_way))
+            return 0
+
+        with validated_evidence() if validated else nullcontext():
+            with pytest.raises(EvidenceError, match=r"\(2, 9\) is not in the column at 3"):
+                wfrec(pairs, on_pairs, (3, 5))
+            with pytest.raises(EvidenceError, match=r"\(2, 9\) is not in the column at 3"):
+                wfrec(summed, on_sum, Inl((3, 5)))
+
     def test_evidence_constructors_reject_mixed_branches(self):
         with pytest.raises(EvidenceError):
             from wellfounded.combinators import LexEvidence
@@ -722,8 +755,10 @@ class TestOneStepPerElement:
                     (0, 5), pairs.decide((0, 5), (1, 1))
                 )
             if pair == (0, 5):
-                # up to (1, 0), already in the memo but not below (0, 5)
-                return rec((1, 0), lex_second(nat_less_decide(4, 5)))
+                # up to (1, 0), already in the memo but not below (0, 5); a
+                # first-component call, since a second-component one that
+                # leaves its column is refused in a release run too
+                return rec((1, 0), lex_first(nat_less_decide(0, 1)))
             return 1
 
         assert wfrec(pairs, step, (1, 1)) == 2

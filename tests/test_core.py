@@ -16,6 +16,7 @@ from wellfounded import (
     EvidenceError,
     NatLessEvidence,
     RecursionBudgetError,
+    WellFoundedError,
     WFRelation,
     check_recursion_equation,
     check_unique_solution,
@@ -715,6 +716,12 @@ class TestUniqueSolution:
         nat = nat_less()
         table = {n: wfrec(nat, fib_step, n) for n in range(6)}
         assert check_unique_solution(nat, fib_step, table, range(6))
+
+    def test_a_solution_that_wfrec_misses_is_an_error(self):
+        broken = replace(nat_less(), recursor=lambda _step, _a: -1)
+        table = {n: iterative_fib(n) for n in range(6)}
+        with pytest.raises(WellFoundedError, match="differs from wfrec at 0"):
+            check_unique_solution(broken, fib_step, table, range(6))
 
 
 class TestFuzzDescent:
