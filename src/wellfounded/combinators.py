@@ -1,6 +1,8 @@
 """Relation transformers: each takes well-founded relations and produces a
 new one whose recursion operator is assembled from the inputs' operators,
-so termination is inherited rather than re-proved.
+so termination is inherited rather than re-proved.  These derived
+recursors run under ``validated_evidence()``; a release run evaluates the
+relation flat (see ``core``).
 
 The evidence type of each construction mirrors its defining equations:
 sums carry tagged injections, lexicographic pairs carry a first-component
@@ -20,6 +22,7 @@ from .core import (
     EvidenceError,
     UndecidableError,
     WFRelation,
+    _derived,
     _evaluate,
     wfrec,
 )
@@ -43,6 +46,7 @@ def subrelation(
     """
     name = carrier or f"sub({base.carrier})"
 
+    @_derived
     def recursor(step, a):
         def s(x, ih):
             return step(x, lambda x_next, lt: ih(x_next, embed(x_next, x, lt)))
@@ -70,6 +74,7 @@ def inverse_image(
     def decide(lower, upper):
         return base.decide(measure(lower), measure(upper))
 
+    @_derived
     def recursor(step, a):
         # recurse over the measures: the base callback at a measure handles
         # every element that maps to it
@@ -212,6 +217,7 @@ def transitive_closure(base: WFRelation) -> WFRelation:
             (record[0], _read_chain(record)) for record in _walk_below(base, (upper,))[1:]
         )
 
+    @_derived
     def recursor(step, a):
         # handler(ih) answers calls through the base callback ih, and
         # ih(y, base_evidence) is the base callback at y
@@ -317,6 +323,7 @@ def disjoint_sum(rel_a: WFRelation, rel_b: WFRelation) -> WFRelation:
             return None if evidence is None else SumEvidence("right_right", evidence)
         return None
 
+    @_derived
     def recursor(step, z):
         def left(x0):
             value = step.recall(Inl(x0))  # stepped already: no side to open
@@ -401,6 +408,7 @@ def lex_family(
                 return lex_second(on_second)
         return None
 
+    @_derived
     def recursor(step, z):
         x0, y0 = z
 

@@ -7,29 +7,36 @@ function may only recurse through the callback it is handed, and must
 present evidence for every recursive call; evaluation always terminates
 when the relation is genuinely well-founded.
 
-Evidence values are ordinary data.  A release run trusts them: no call is
-re-checked against ``decide``, though a composed relation reads the part of
-the evidence that routes the call (a lex order's branch, a list's
-divergence index, a closure's chain).  Inside ``with validated_evidence():``
-every recursive call that the current thread and context make re-checks its
-evidence against ``decide``.  ``wfrec(rel, step, a)`` and
-``rel.wfrec(step, a)`` are one call, and both validate.
+Evidence values are ordinary data.  A release run trusts them and does not
+read them: ``wfrec`` evaluates a relation whose recursor a combinator
+derived from its parts' recursors (a subrelation, inverse image, closure,
+sum, lex order or power, and every order built from them) as it evaluates
+one without a recursor, in one flat evaluation that answers each call at
+the element it names.  Inside ``with validated_evidence():`` every
+recursive call that the current thread and context make re-checks its
+evidence against ``decide``, and the derived recursor runs: the paper's
+construction, which reads the part of the evidence that routes a call (a
+lex order's branch, a list's divergence index, a closure's chain).  A
+recursor supplied by hand, and ``empty_relation``'s, runs in both.
+``wfrec(rel, step, a)`` and ``rel.wfrec(step, a)`` are one call, and both
+validate.
 
 All recursion runs through one evaluator, whose one runner runs every step,
 for composed relations too.  It memoizes step values per top-level call, so
 every relation runs the step at most once per element, and frees the memo
 on return; steps must be deterministic, as the recursion equation already
 requires.  Its depth budget (env ``WFREC_DEPTH``, read once per top-level
-call) counts every step and is shared by nested evaluators, such as the
-columns of a lexicographic order: a step runs one level below the running
-step, unless that one is the glue of an evaluation opened later.  A composed
-relation finishes inside its base evaluation: the base's first run takes the
-finish.  Before it opens a lex column or a sum side, or measures an inverse
-image's element, a composed relation looks the called element up in the
-memo, and a hit opens and runs nothing.  One case
-can still call a finished evaluation: a lex order that is the base of an
-inverse image, closure or power.  A census over nested multisets makes 6 of
-its 116 step runs in one; a census over stepped tuples makes none.
+call) counts every step and is shared by nested evaluators, such as those
+that a derived lex recursor opens for its columns: a step runs one level
+below the running step, unless that one is the glue of an evaluation
+opened later.  A composed relation finishes inside its base
+evaluation: the base's first run takes the finish.  Before it opens a lex
+column or a sum side, or measures an inverse image's element, a composed
+relation looks the called element up in the memo, and a hit opens and runs
+nothing.  One case can still call a finished evaluation, and only a
+validated run can: a lex order that is the base of an inverse image,
+closure or power.  A validated census over nested multisets makes 6 of its
+116 step runs in one; a census over stepped tuples makes none.
 """
 
 from __future__ import annotations
@@ -119,7 +126,10 @@ class WFRelation:
     asymmetric.  ``predecessors``, when present, enumerates every
     ``(element, evidence)`` pair strictly below its argument and must agree
     with ``decide``.  ``recursor`` implements the recursion operator; when
-    absent a generic unfolding evaluator is used.
+    absent a generic unfolding evaluator is used.  The recursor that a
+    combinator derives from its parts' recursors runs only under
+    ``validated_evidence()``; a release run uses the generic evaluator in
+    its place.  A recursor supplied by hand runs in both.
     """
 
     carrier: str
@@ -134,12 +144,22 @@ class WFRelation:
         step(a, lambda x, e: wfrec(rel, step, x))`` and evaluation terminates.
         ``wfrec(rel, step, a)`` and ``rel.wfrec(step, a)`` are one call.
         """
+        recursor = self.recursor
         if _VALIDATING.get():
             step = _validating_step(self, step)
-        return _evaluate(step, a, self.recursor)
+        elif getattr(recursor, "_derived", False):
+            recursor = None  # a release run trusts the evidence the derivation reads
+        return _evaluate(step, a, recursor)
 
     def __repr__(self) -> str:
         return f"WFRelation({self.carrier})"
+
+
+def _derived(recursor):
+    # marks a recursor that a combinator assembles from its parts' recursors:
+    # the paper's construction, which a release run leaves to the evaluator
+    recursor._derived = True
+    return recursor
 
 
 _threads = threading.local()  # per thread: the running step and the budget

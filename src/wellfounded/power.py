@@ -6,8 +6,10 @@ the carrier to lists whose elements strictly descend repairs this.  A
 ``DescendingList`` pairs the elements with a certificate of that descent,
 and the relation compares underlying lists lexicographically.
 
-The recursion operator runs in one evaluation over the *transitive
-closure* of the element order, started at the list's head.  Its base step
+The recursion operator derived here runs under ``validated_evidence()``;
+a release run evaluates the list order flat.  It runs in one evaluation
+over the *transitive closure* of the element order, started at the list's
+head.  Its base step
 returns the callback it is handed, the one that closures and inverse images
 open their base with, so the closure's value at an element is its callback
 there.  A list's handler keeps the callback at each of its elements.  A
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from .core import _MISS, EvidenceError, UndecidableError, WFRelation, _evaluate
+from .core import _MISS, EvidenceError, UndecidableError, WFRelation, _derived, _evaluate
 from .combinators import _callback, _walk_below, single_step, transitive_closure
 
 
@@ -193,6 +195,7 @@ def pow_relation(rel: WFRelation) -> WFRelation:
                 found.append((DescendingList(elements, DescentCert(steps)), evidence))
         return tuple(found)
 
+    @_derived
     def recursor(step, z: DescendingList):
         # The closure's value at an element is its callback.  A list's
         # handler keeps the callback at each of its elements; a list below

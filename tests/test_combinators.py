@@ -19,6 +19,7 @@ from wellfounded import (
     descending,
     disjoint_sum,
     finfun_exp,
+    finite_function,
     finite_power_decide,
     inverse_image,
     lex_family,
@@ -27,6 +28,7 @@ from wellfounded import (
     multiset_relation,
     nat_less,
     nat_less_decide,
+    nested_multiset_relation,
     pow_relation,
     refl_trans_reachable,
     stepped,
@@ -41,6 +43,7 @@ from wellfounded import (
 from wellfounded import combinators
 from wellfounded.checks import (
     PROPERTIES,
+    _nested_pool,
     all_descending_lists,
     all_multisets,
     census_step,
@@ -49,7 +52,7 @@ from wellfounded.checks import (
     random_dag,
     successor_relation,
 )
-from wellfounded import core
+from wellfounded import core, power
 from wellfounded.combinators import ChainEvidence, SumEvidence, lex_first, lex_second
 
 
@@ -249,10 +252,13 @@ class TestTransitiveClosure:
         assert [element for element, _c in closure.predecessors([3])] == [[2], [1], [0]]
 
     def test_steps_run_while_the_base_evaluation_is_open(self):
-        late = []  # base callbacks made after the base recursor returned
+        # base callbacks made after the base recursor returned, and the
+        # elements the base recursor was entered at
+        late, entered = [], []
 
         def recursor(step, a):
             done = []
+            entered.append(a)
 
             def rec(x, _evidence):
                 if done:
@@ -269,8 +275,7 @@ class TestTransitiveClosure:
         def count_down(n, rec):
             return 0 if n == 0 else rec(n - 1, closure.decide(n - 1, n)) + 1
 
-        assert wfrec(closure, count_down, 30) == 30
-        assert late == []
+        cases = [(closure, count_down, 30, 30)]
 
         # the power runs its fold and its steps inside one closure
         # evaluation, and so inside one evaluation of this base
@@ -285,8 +290,7 @@ class TestTransitiveClosure:
         def rank(z, rec):
             return max((rec(low, e) + 1 for low, e in power.predecessors(z)), default=0)
 
-        assert wfrec(power, rank, descending(less, (5, 3, 1))) == 42
-        assert late == []
+        cases.append((power, rank, descending(less, (5, 3, 1)), 42))
 
         # a finite-function census whose values the recording base orders:
         # the power's closure keeps its lex columns' callbacks inside open
@@ -294,8 +298,7 @@ class TestTransitiveClosure:
         finfuns, pool = finfun_exp(nat_less(), less), all_multisets(range(3), 4)
         top = multiset_of(nat_less(), (2, 2, 1, 1))  # the function {2: 2, 1: 2}
         expected, _reached = census_by_decide(finfuns, pool, top)
-        assert wfrec(finfuns, census_step(finfuns, pool), top) == expected
-        assert late == []
+        cases.append((finfuns, census_step(finfuns, pool), top, expected))
 
         # an inverse image runs its step at the start, and a lex order opens
         # its first column, inside the base evaluation; ``stepped_lex``, an
@@ -316,8 +319,16 @@ class TestTransitiveClosure:
             (stepped_lex(less), tuples, stepped(2, 2, 2)),
         ):
             expected, _reached = census_by_decide(rel, pool, top)
-            assert wfrec(rel, census_step(rel, pool), top) == expected
-            assert late == []
+            cases.append((rel, census_step(rel, pool), top, expected))
+
+        # only a validated run runs the derived recursors, and so the base's
+        for validated in (False, True):
+            for rel, step, top, expected in cases:
+                entered.clear()
+                with validated_evidence() if validated else nullcontext():
+                    assert wfrec(rel, step, top) == expected
+                assert late == []
+                assert bool(entered) == validated, rel
 
     def test_undecidable_without_enumeration(self):
         bare = WFRelation(
@@ -534,15 +545,18 @@ class TestDisjointSum:
 
     def test_left_step_cannot_call_a_right_element(self):
         # every left lies below every right, so the evidence is well formed,
-        # but it points the wrong way: the left side's callback refuses it
+        # but it points the wrong way: validation refuses it, and a release
+        # run, which trusts evidence, returns the value at the called element
         summed = disjoint_sum(nat_less(), nat_less())
         upward = summed.decide(Inl(3), Inr(0))
 
         def step(z, rec):
             return rec(Inr(0), upward) if isinstance(z, Inl) else 0
 
-        with pytest.raises(EvidenceError, match="no right element lies below a left one"):
-            wfrec(summed, step, Inl(3))
+        assert wfrec(summed, step, Inl(3)) == 0
+        with validated_evidence():
+            with pytest.raises(EvidenceError, match=r"no descent from inl\(3\) to inr\(0\)"):
+                wfrec(summed, step, Inl(3))
 
 
 class TestLexicographic:
@@ -597,7 +611,9 @@ class TestLexicographic:
     @pytest.mark.parametrize("validated", [False, True])
     def test_second_component_call_must_keep_the_first(self, validated):
         # (2, 9) lies below (3, 5), but on the first component: the second-
-        # component witness stands for equal firsts, so it cannot reach it
+        # component witness stands for equal firsts, so the lex recursor of a
+        # validated run cannot reach it.  A release run trusts the evidence
+        # and returns the value at (2, 9).
         pairs = lex_product(nat_less(), nat_less())
         summed = disjoint_sum(pairs, nat_less())
         wrong_way = lex_second(nat_less_decide(4, 5))
@@ -610,7 +626,11 @@ class TestLexicographic:
                 return rec(Inl((2, 9)), SumEvidence("left_left", wrong_way))
             return 0
 
-        with validated_evidence() if validated else nullcontext():
+        if not validated:
+            assert wfrec(pairs, on_pairs, (3, 5)) == 0
+            assert wfrec(summed, on_sum, Inl((3, 5))) == 0
+            return
+        with validated_evidence():
             with pytest.raises(EvidenceError, match=r"\(2, 9\) is not in the column at 3"):
                 wfrec(pairs, on_pairs, (3, 5))
             with pytest.raises(EvidenceError, match=r"\(2, 9\) is not in the column at 3"):
@@ -702,13 +722,17 @@ OPENED_AT_MOST = {
 
 
 class TestOneStepPerElement:
+    # a release run evaluates every relation in one flat evaluation; a
+    # validated one runs the derived recursors, which open the bases
     @pytest.mark.parametrize("name", sorted(CENSUS_CASES))
     def test_evaluations_opened_stay_bounded(self, name):
         rel, pool, top = CENSUS_CASES[name]()
         expected, reached = census_by_decide(rel, pool, top)
-        first = next(core._opened)
-        assert wfrec(rel, census_step(rel, pool), top) == expected
-        assert next(core._opened) - first - 1 <= OPENED_AT_MOST[name](reached)
+        for checking in (nullcontext(), validated_evidence()):
+            with checking:
+                first = next(core._opened)
+                assert wfrec(rel, census_step(rel, pool), top) == expected
+                assert next(core._opened) - first - 1 <= OPENED_AT_MOST[name](reached)
 
     @pytest.mark.parametrize("name", sorted(CENSUS_CASES))
     def test_census_steps_once_per_element(self, name):
@@ -720,8 +744,11 @@ class TestOneStepPerElement:
             return census(x, rec)
 
         expected, reached = census_by_decide(rel, pool, top)
-        assert wfrec(rel, counted, top) == expected
-        assert len(calls) == len(reached) and set(calls) == reached
+        for checking in (nullcontext(), validated_evidence()):
+            calls.clear()
+            with checking:
+                assert wfrec(rel, counted, top) == expected
+            assert len(calls) == len(reached) and set(calls) == reached
 
     @pytest.mark.parametrize("name", sorted(CENSUS_CASES))
     def test_step_values_are_freed_on_return(self, name):
@@ -738,13 +765,16 @@ class TestOneStepPerElement:
             watched.append(weakref.ref(tally))
             return tally
 
-        gc.disable()  # no cycle collection: only the evaluator can let go
-        try:
-            result = wfrec(rel, step, top)
-            alive = [ref() for ref in watched if ref() is not None]
-        finally:
-            gc.enable()
-        assert alive == [result] and len(watched) > 1
+        for checking in (nullcontext(), validated_evidence()):
+            watched.clear()
+            gc.disable()  # no cycle collection: only the evaluator can let go
+            try:
+                with checking:
+                    result = wfrec(rel, step, top)
+                alive = [ref() for ref in watched if ref() is not None]
+            finally:
+                gc.enable()
+            assert alive == [result] and len(watched) > 1
 
     def test_memo_hit_through_lex_still_checks_evidence(self):
         pairs = lex_product(nat_less(), nat_less())
@@ -811,3 +841,81 @@ class TestOneStepPerElement:
             with validated_evidence():
                 with pytest.raises(EvidenceError):
                     wfrec(rel, step, top)
+
+
+def _finite_functions():
+    nat = nat_less()
+    return [
+        finite_function(nat, list(zip(keys, image)))
+        for keys in ((), (0,), (1,), (1, 0))
+        for image in itertools.product(range(2), repeat=len(keys))
+    ]
+
+
+def _last_on_top(rel, pool):
+    return rel, pool, pool[-1]
+
+
+# the census cases, and the derived orders of the battery on its pools; the
+# last finite function is {1: 1, 0: 1}
+LAW_CASES = {
+    **CENSUS_CASES,
+    "stepped": lambda: (
+        stepped_lex(nat_less()),
+        [stepped(*c) for n in range(3) for c in itertools.product(range(3), repeat=n)],
+        stepped(2, 2),
+    ),
+    "finfun": lambda: _last_on_top(finfun_exp(nat_less(), nat_less()), _finite_functions()),
+    "nested-multiset": lambda: _last_on_top(
+        nested_multiset_relation(nat_less(), max_depth=5), _nested_pool(nat_less())
+    ),
+}
+
+
+def step_runs(monkeypatch, run):
+    """Run ``run()`` and count the step runs of every evaluation it opens:
+    all of them, and the late ones, made after their evaluation returned."""
+    evaluate, counts = core._evaluate, [0, 0]
+
+    def probed(step, a, recursor=None, finish=None):
+        ended = []
+
+        def counted(x, rec):
+            counts[0] += 1
+            counts[1] += bool(ended)
+            return step(x, rec)
+
+        try:
+            return evaluate(counted, a, recursor, finish)
+        finally:
+            ended.append(True)
+
+    with monkeypatch.context() as patch:
+        for module in (core, combinators, power):
+            patch.setattr(module, "_evaluate", probed)
+        value = run()
+    return value, tuple(counts)
+
+
+class TestReleaseAgainstValidated:
+    @pytest.mark.parametrize("name", sorted(LAW_CASES))
+    def test_an_honest_step_has_one_value_on_both_paths(self, name):
+        rel, pool, top = LAW_CASES[name]()
+        step = census_step(rel, pool)
+        expected, reached = census_by_decide(rel, pool, top)
+        released = {}
+        for x in reached:
+            first = next(core._opened)
+            released[x] = wfrec(rel, step, x)
+            assert next(core._opened) - first == 2  # one flat evaluation
+        assert released[top] == expected
+        with validated_evidence():
+            assert {x: wfrec(rel, step, x) for x in reached} == released
+
+    def test_late_step_runs_happen_only_on_the_validated_path(self, monkeypatch):
+        rel, pool, top = LAW_CASES["nested-multiset"]()
+        expected, reached = census_by_decide(rel, pool, top)
+        run = lambda: wfrec(rel, census_step(rel, pool), top)
+        assert step_runs(monkeypatch, run) == (expected, (len(reached), 0))
+        with validated_evidence():
+            assert step_runs(monkeypatch, run) == (expected, (116, 6))

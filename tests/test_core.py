@@ -211,14 +211,18 @@ DESCENTS = {
 
 
 class TestEvaluator:
+    # a budget test over a composed order runs on the flat release path and
+    # on the derived recursors that a validated run runs
     @pytest.mark.parametrize("name", list(DESCENTS))
     def test_a_descent_of_exactly_the_budget_evaluates(self, monkeypatch, name):
         monkeypatch.setenv("WFREC_DEPTH", "50")
         order, below, start = DESCENTS[name]
         step = descend(order, below)
-        assert wfrec(order, step, start(50)) == 50
-        with pytest.raises(RecursionBudgetError):
-            wfrec(order, step, start(51))
+        for checking in (nullcontext(), validated_evidence()):
+            with checking:
+                assert wfrec(order, step, start(50)) == 50
+                with pytest.raises(RecursionBudgetError):
+                    wfrec(order, step, start(51))
 
     def test_deep_budgets_fit_the_frame_ceiling(self):
         # In a fresh interpreter the frame ceiling holds a nat chain of 4998
@@ -249,16 +253,19 @@ class TestEvaluator:
 
     def test_lex_columns_share_the_budget(self):
         order = lex_product(nat_less(), nat_less())
-        with pytest.raises(RecursionBudgetError):
-            wfrec(order, column_then_drop(1500), (3, 1500))
+        for checking in (nullcontext(), validated_evidence()):
+            with checking, pytest.raises(RecursionBudgetError):
+                wfrec(order, column_then_drop(1500), (3, 1500))
 
     def test_budget_counts_the_whole_composed_descent(self, monkeypatch):
         monkeypatch.setenv("WFREC_DEPTH", "50")
         order = lex_product(nat_less(), nat_less())
         step = column_then_drop(30)
-        with pytest.raises(RecursionBudgetError):
-            wfrec(order, step, (1, 30))  # 30 + 1 + 30 levels
-        assert wfrec(order, step, (1, 15)) == 46  # 15 + 1 + 30 levels
+        for checking in (nullcontext(), validated_evidence()):
+            with checking:
+                with pytest.raises(RecursionBudgetError):
+                    wfrec(order, step, (1, 30))  # 30 + 1 + 30 levels
+                assert wfrec(order, step, (1, 15)) == 46  # 15 + 1 + 30 levels
 
     def test_budget_counts_steps_under_the_closure(self, monkeypatch):
         # the closure runs the step outside the lex evaluator's frames
@@ -269,16 +276,17 @@ class TestEvaluator:
         def step(pair, rec):
             return inner(pair, lambda lower, e: rec(lower, single_step(lower, pair, e)))
 
-        with pytest.raises(RecursionBudgetError):
-            wfrec(order, step, (1, 30))  # 30 + 1 + 30 levels
-        assert wfrec(order, step, (1, 15)) == 46
         # a recursor that is another relation's wfrec wraps each step
         # twice, and still charges it once
         rewrapped = replace(order, recursor=order.wfrec)
-        assert wfrec(rewrapped, step, (1, 15)) == 46
+        for checking in (nullcontext(), validated_evidence()):
+            with checking:
+                with pytest.raises(RecursionBudgetError):
+                    wfrec(order, step, (1, 30))  # 30 + 1 + 30 levels
+                assert wfrec(order, step, (1, 15)) == 46
+                assert wfrec(rewrapped, step, (1, 15)) == 46
 
     def test_budget_is_read_once_per_top_level_call(self, monkeypatch):
-        monkeypatch.setenv("WFREC_DEPTH", "50")
         order = lex_product(nat_less(), nat_less())
         inner = column_then_drop(30)
 
@@ -286,7 +294,10 @@ class TestEvaluator:
             os.environ["WFREC_DEPTH"] = "5"  # not seen by the nested columns
             return inner(pair, rec)
 
-        assert wfrec(order, step, (1, 15)) == 46
+        for checking in (nullcontext(), validated_evidence()):
+            monkeypatch.setenv("WFREC_DEPTH", "50")
+            with checking:
+                assert wfrec(order, step, (1, 15)) == 46
 
     def test_stack_exhaustion_is_a_budget_error(self, monkeypatch):
         # a budget beyond what the Python stack holds
