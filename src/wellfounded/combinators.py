@@ -2,7 +2,10 @@
 new one whose recursion operator is assembled from the inputs' operators,
 so termination is inherited rather than re-proved.  These derived
 recursors run under ``validated_evidence()``; a release run evaluates the
-relation flat (see ``core``).
+relation flat.  They open evaluations only through ``core``: an inverse
+image and a closure pull back along their base with ``_transport``; a lex
+order opens its first components on the callback step and each column, as
+a sum each side, with ``_recall_or_open``.
 
 The evidence type of each construction mirrors its defining equations:
 sums carry tagged injections, lexicographic pairs carry a first-component
@@ -16,20 +19,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .core import (
-    _MISS,
     EQUAL,
     EqualWitness,
     EvidenceError,
     UndecidableError,
     WFRelation,
     _derived,
-    _evaluate,
+    _open,
+    _recall_or_open,
+    _transport,
     wfrec,
 )
-
-
-def _callback(_x, ih):
-    return ih  # a base step: the base evaluation's value is its callback
 
 
 def subrelation(
@@ -74,20 +74,12 @@ def inverse_image(
     def decide(lower, upper):
         return base.decide(measure(lower), measure(upper))
 
+    def reach(ih, x_next, evidence):
+        return ih(measure(x_next), evidence)  # the base callback at the measure
+
     @_derived
     def recursor(step, a):
-        # recurse over the measures: the base callback at a measure handles
-        # every element that maps to it
-        def handler(ih):
-            def rec(x_next, ls):
-                value = step.recall(x_next)  # stepped already: no measure, no base call
-                if value is not _MISS:
-                    return value
-                return step(x_next, handler(ih(measure(x_next), ls)))
-
-            return rec
-
-        return _evaluate(_callback, measure(a), base.recursor, lambda ih: step(a, handler(ih)))
+        return _transport(step, a, base, measure(a), reach)
 
     return WFRelation(
         carrier=name, decide=decide, predecessors=predecessors, recursor=recursor
@@ -190,15 +182,23 @@ def _search_chain(base: WFRelation, lower, upper) -> Optional[ChainEvidence]:
     return None
 
 
+def _walk_chain(ih, x_next, chain: ChainEvidence):
+    # the base callback at x_next, one base callback per link, top link first
+    nodes, links = chain.nodes, chain.links
+    for k in range(len(links) - 1, 0, -1):
+        ih = ih(nodes[k], links[k])
+    return ih(x_next, links[0])
+
+
 def transitive_closure(base: WFRelation) -> WFRelation:
     """The strict transitive closure of ``base``; evidence is a chain.
 
     Deciding a pair searches backward through ``base.predecessors`` when
     available; without an enumeration only single base steps can be found,
     and a failed single step raises because longer chains cannot be ruled
-    out.  Recursion runs inside one ``base.wfrec`` evaluation and walks a
-    chain's links top-down in one loop, one base callback per link, so
-    termination is inherited.
+    out.  Recursion is carried back along one evaluation of ``base`` and
+    walks a chain's links top-down in one loop, one base callback per link,
+    so termination is inherited.
     """
     name = f"closure({base.carrier})"
 
@@ -219,22 +219,7 @@ def transitive_closure(base: WFRelation) -> WFRelation:
 
     @_derived
     def recursor(step, a):
-        # handler(ih) answers calls through the base callback ih, and
-        # ih(y, base_evidence) is the base callback at y
-        def handler(ih):
-            def handle(x_next, chain):
-                value = step.recall(x_next)  # the value needs no chain walk
-                if value is not _MISS:
-                    return value
-                nodes, links = chain.nodes, chain.links
-                below = ih
-                for k in range(len(links) - 1, 0, -1):  # top link first
-                    below = below(nodes[k], links[k])
-                return step(x_next, handler(below(x_next, links[0])))
-
-            return handle
-
-        return _evaluate(_callback, a, base.recursor, lambda ih: step(a, handler(ih)))
+        return _transport(step, a, base, a, _walk_chain)
 
     return WFRelation(
         carrier=name,
@@ -325,33 +310,25 @@ def disjoint_sum(rel_a: WFRelation, rel_b: WFRelation) -> WFRelation:
 
     @_derived
     def recursor(step, z):
-        def left(x0):
-            value = step.recall(Inl(x0))  # stepped already: no side to open
-            if value is not _MISS:
-                return value
+        def left(x, ih_a):
+            def rec(z_next, evidence):
+                if isinstance(z_next, Inr):
+                    raise EvidenceError("no right element lies below a left one")
+                return ih_a(z_next.value, evidence.inner)
 
-            def p1(x, ih_a):
-                def rec(z_next, evidence):
-                    if isinstance(z_next, Inr):
-                        raise EvidenceError("no right element lies below a left one")
-                    return ih_a(z_next.value, evidence.inner)
+            return step(Inl(x), rec)
 
-                return step(Inl(x), rec)
+        def right(y, ih_b):
+            def rec(z_next, evidence):
+                if isinstance(z_next, Inl):
+                    return _recall_or_open(step, z_next, rel_a, z_next.value, left)
+                return ih_b(z_next.value, evidence.inner)
 
-            return _evaluate(p1, x0, rel_a.recursor)
+            return step(Inr(y), rec)
 
-        def right(y0):
-            def r1(y, ih_b):
-                def rec(z_next, evidence):
-                    if isinstance(z_next, Inl):
-                        return left(z_next.value)
-                    return ih_b(z_next.value, evidence.inner)
-
-                return step(Inr(y), rec)
-
-            return _evaluate(r1, y0, rel_b.recursor)
-
-        return left(z.value) if isinstance(z, Inl) else right(z.value)
+        if isinstance(z, Inl):
+            return _recall_or_open(step, z, rel_a, z.value, left)
+        return _recall_or_open(step, z, rel_b, z.value, right)
 
     return WFRelation(carrier=name, decide=decide, recursor=recursor)
 
@@ -410,33 +387,24 @@ def lex_family(
 
     @_derived
     def recursor(step, z):
+        def column(x, ih_a, y_start):
+            # the pair (x, y_start) in the column at x, where ih_a is the
+            # first components' callback
+            def q2(y, ih_b):
+                def rec(z_next, evidence):
+                    x_next = z_next[0]
+                    if evidence.on_first is not None:
+                        return column(x_next, ih_a(x_next, evidence.on_first), z_next[1])
+                    if x_next != x:  # what the EQUAL witness stands for
+                        raise EvidenceError(f"{z_next!r} is not in the column at {x!r}")
+                    return ih_b(z_next[1], evidence.on_second)
+
+                return step((x, y), rec)
+
+            return _recall_or_open(step, (x, y_start), family(x), y_start, q2)
+
         x0, y0 = z
-
-        def p1(x, ih_a):
-            # ih_a(x', evidence) yields the whole-column function at x'
-            def column(y_start):
-                value = step.recall((x, y_start))  # stepped already: no column to open
-                if value is not _MISS:
-                    return value
-
-                def q2(y, ih_b):
-                    def rec(z_next, evidence):
-                        # indexed, not unpacked: on CPython 3.11 one more
-                        # slot in this frame made Ackermann 15% slower
-                        x_next = z_next[0]
-                        if evidence.on_first is not None:
-                            return ih_a(x_next, evidence.on_first)(z_next[1])
-                        if x_next != x:  # what the EQUAL witness stands for
-                            raise EvidenceError(f"{z_next!r} is not in the column at {x!r}")
-                        return ih_b(z_next[1], evidence.on_second)
-
-                    return step((x, y), rec)
-
-                return _evaluate(q2, y_start, family(x).recursor)
-
-            return column
-
-        return _evaluate(p1, x0, rel_a.recursor, lambda column: column(y0))
+        return _open(rel_a, x0, lambda ih_a: column(x0, ih_a, y0))
 
     return WFRelation(carrier=name, decide=decide, recursor=recursor)
 

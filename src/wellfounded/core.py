@@ -21,22 +21,27 @@ recursor supplied by hand, and ``empty_relation``'s, runs in both.
 ``wfrec(rel, step, a)`` and ``rel.wfrec(step, a)`` are one call, and both
 validate.
 
-All recursion runs through one evaluator, whose one runner runs every step,
-for composed relations too.  It memoizes step values per top-level call, so
-every relation runs the step at most once per element, and frees the memo
-on return; steps must be deterministic, as the recursion equation already
-requires.  Its depth budget (env ``WFREC_DEPTH``, read once per top-level
-call) counts every step and is shared by nested evaluators, such as those
-that a derived lex recursor opens for its columns: a step runs one level
+All recursion runs through one evaluator, whose one runner runs every step.
+It memoizes step values per top-level call, so every relation runs the step
+at most once per element, and frees the memo on return; steps must be
+deterministic, as the recursion equation already requires.  Its depth
+budget (env ``WFREC_DEPTH``, read once per top-level call) counts every
+step and is shared by the evaluations nested in it: a step runs one level
 below the running step, unless that one is the glue of an evaluation
-opened later.  A composed relation finishes inside its base
-evaluation: the base's first run takes the finish.  Before it opens a lex
-column or a sum side, or measures an inverse image's element, a composed
-relation looks the called element up in the memo, and a hit opens and runs
-nothing.  One case can still call a finished evaluation, and only a
-validated run can: a lex order that is the base of an inverse image,
-closure or power.  A validated census over nested multisets makes 6 of its
-116 step runs in one; a census over stepped tuples makes none.
+opened later.
+
+A derived recursor opens evaluations only through three entries here.
+``_open`` opens a base on the callback step, so the base's value at an
+element is its callback there; the base's first run takes a finish, which
+continues the recursion inside that evaluation.  ``_recall_or_open``
+answers a call from the memo, or else opens a part (a lex column, a sum
+side) on a glue step.  ``_transport`` is the paper's pull-back: an inverse
+image, a closure and a power carry their recursion back along one base
+evaluation, each with a ``reach`` from a handler's state to the callee's.
+One case can still call a finished evaluation, and only a validated run
+can: a lex order that is the base of an inverse image, closure or power.
+A validated census over nested multisets makes 6 of its 116 step runs in
+one; a census over stepped tuples makes none.
 """
 
 from __future__ import annotations
@@ -248,6 +253,36 @@ def _evaluate(step: StepFunction, a: Any, recursor=None, finish=None) -> Any:
         if top:
             running[2] = 0
             _restore_frame_limit()
+
+
+# The three entries through which a derived recursor opens evaluations.
+
+def _callback(_x, ih):
+    return ih
+
+
+def _open(base: WFRelation, root, finish: Callable) -> Any:
+    return _evaluate(_callback, root, base.recursor, finish)
+
+
+def _recall_or_open(step, z, part: WFRelation, y, glue: StepFunction) -> Any:
+    value = step.recall(z)
+    return _evaluate(glue, y, part.recursor) if value is _MISS else value
+
+
+def _transport(step, a, base: WFRelation, root, reach: Callable, start=None) -> Any:
+    # a's handler holds start(ih), or ih, where ih is the callback at root;
+    # a call steps x_next on the handler of reach(state, x_next, evidence)
+    def handler(state):
+        def rec(x_next, evidence):
+            value = step.recall(x_next)
+            if value is _MISS:
+                value = step(x_next, handler(reach(state, x_next, evidence)))
+            return value
+
+        return rec
+
+    return _open(base, root, lambda ih: step(a, handler(ih if start is None else start(ih))))
 
 
 # The interpreter's recursion limit is process-wide: it stays raised while a

@@ -7,12 +7,10 @@ the carrier to lists whose elements strictly descend repairs this.  A
 and the relation compares underlying lists lexicographically.
 
 The recursion operator derived here runs under ``validated_evidence()``;
-a release run evaluates the list order flat.  It runs in one evaluation
-over the *transitive closure* of the element order, started at the list's
-head.  Its base step
-returns the callback it is handed, the one that closures and inverse images
-open their base with, so the closure's value at an element is its callback
-there.  A list's handler keeps the callback at each of its elements.  A
+a release run evaluates the list order flat.  It is ``core._transport``
+along one evaluation of the *transitive closure* of the element order,
+opened at the list's head, where the closure's value at an element is its
+callback.  A list's handler holds the callback at each of its elements.  A
 list below it shares those of the common prefix, whose length its
 lexicographic evidence stores as one count, and reaches each later element
 with one closure step: the evidence's head witness first, then the list's
@@ -24,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from .core import _MISS, EvidenceError, UndecidableError, WFRelation, _derived, _evaluate
-from .combinators import _callback, _walk_below, single_step, transitive_closure
+from .core import EvidenceError, WFRelation, _derived, _transport
+from .combinators import _walk_below, single_step, transitive_closure
 
 
 @dataclass(frozen=True)
@@ -185,8 +183,6 @@ def pow_relation(rel: WFRelation) -> WFRelation:
         return list_lex_decide(rel, lower.elements, upper.elements)
 
     def predecessors(upper: DescendingList):
-        if rel.predecessors is None:
-            raise UndecidableError(f"{name}: element relation has no enumeration")
         universe = _downward_closure(rel, upper.elements)
         found = []
         for elements, steps in _descending_sequences(rel, universe):
@@ -195,54 +191,34 @@ def pow_relation(rel: WFRelation) -> WFRelation:
                 found.append((DescendingList(elements, DescentCert(steps)), evidence))
         return tuple(found)
 
+    def reach(state, lower: DescendingList, evidence):
+        # state: a list's elements and the closure's callback at each
+        elements, callbacks = state
+        if not elements:
+            raise EvidenceError("nothing lies below the empty list")
+        if not isinstance(evidence, LexListEvidence):
+            raise EvidenceError(f"{name}: malformed list evidence")
+        common = evidence.common  # the divergence index
+        items = lower.elements
+        reached = callbacks[:common]
+        if evidence.terminal == "head_less" and common < min(len(items), len(elements)):
+            head = items[common]
+            link = single_step(head, elements[common], evidence.terminal_evidence)
+            reached.append(callbacks[common](head, link))
+            _descend(reached, items, lower.cert.steps, common + 1)
+        elif not (evidence.terminal == "nil_below" and common == len(items) < len(elements)):
+            raise EvidenceError(f"{name}: malformed list evidence")
+        return items, reached
+
     @_derived
     def recursor(step, z: DescendingList):
-        # The closure's value at an element is its callback.  A list's
-        # handler keeps the callback at each of its elements; a list below
-        # it shares the callbacks up to the divergence index, where it
-        # leaves the list, and is walked down from there one closure step
-        # per element: the head witness first, then its certificate links.
-        def handler(elements, callbacks):
-            def handle(lower: DescendingList, evidence):
-                value = step.recall(lower)
-                if value is not _MISS:
-                    return value
-                if not elements:
-                    raise EvidenceError("nothing lies below the empty list")
-                if not isinstance(evidence, LexListEvidence):
-                    raise EvidenceError(f"{name}: malformed list evidence")
-                common = evidence.common  # the divergence index
-                items = lower.elements
-                reached = callbacks[:common]
-                if evidence.terminal == "head_less" and common < min(len(items), len(elements)):
-                    head = items[common]
-                    link = single_step(head, elements[common], evidence.terminal_evidence)
-                    reached.append(callbacks[common](head, link))
-                    descend(reached, items, lower.cert.steps, common + 1)
-                elif not (evidence.terminal == "nil_below" and common == len(items) < len(elements)):
-                    raise EvidenceError(f"{name}: malformed list evidence")
-                return step(lower, handler(items, reached))
-
-            return handle
-
-        def descend(callbacks, elements, links, start):
-            # extend callbacks, which reach elements[:start], down the rest
-            callback = callbacks[-1]
-            for k in range(start, len(elements)):
-                link = single_step(elements[k], elements[k - 1], links[k - 1])
-                callback = callback(elements[k], link)
-                callbacks.append(callback)
-            return callbacks
-
         elements = z.elements
         if not elements:
-            return step(z, handler(elements, []))
-
-        def fold(head):
-            # head is the closure's callback at the head of z
-            return step(z, handler(elements, descend([head], elements, z.cert.steps, 1)))
-
-        return _evaluate(_callback, elements[0], closure.recursor, fold)
+            return step(z, lambda lower, evidence: reach(((), []), lower, evidence))
+        return _transport(
+            step, z, closure, elements[0], reach,
+            lambda head: (elements, _descend([head], elements, z.cert.steps, 1)),
+        )
 
     return WFRelation(
         carrier=name,
@@ -250,6 +226,16 @@ def pow_relation(rel: WFRelation) -> WFRelation:
         predecessors=predecessors if rel.predecessors is not None else None,
         recursor=recursor,
     )
+
+
+def _descend(callbacks: list, elements, links, start: int) -> list:
+    # extend callbacks, which reach elements[:start], down the rest of the
+    # list: one closure step per certificate link
+    callback = callbacks[-1]
+    for k in range(start, len(elements)):
+        callback = callback(elements[k], single_step(elements[k], elements[k - 1], links[k - 1]))
+        callbacks.append(callback)
+    return callbacks
 
 
 def _downward_closure(rel: WFRelation, seeds) -> tuple:

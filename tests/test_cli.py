@@ -321,6 +321,11 @@ def test_multiset_chain_starts_are_capped_at_key_30():
             order.parse_start(text)
 
 
+def test_an_unknown_order_name_is_refused():
+    with pytest.raises(ValueError, match="unknown order 'bogus'"):
+        named_descent_order("bogus")
+
+
 def test_the_named_orders_do_not_import_the_battery():
     script = 'import wellfounded.orders, sys; assert "wellfounded.checks" not in sys.modules'
     src = os.path.dirname(os.path.dirname(wellfounded.__file__))

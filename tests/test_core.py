@@ -16,6 +16,7 @@ from wellfounded import (
     EvidenceError,
     NatLessEvidence,
     RecursionBudgetError,
+    UndecidableError,
     WellFoundedError,
     WFRelation,
     check_recursion_equation,
@@ -753,6 +754,11 @@ class TestFuzzDescent:
         first = fuzz_descent(nat_less(), 30, seed=11)
         second = fuzz_descent(nat_less(), 30, seed=11)
         assert first == second
+
+    def test_a_relation_without_predecessors_is_refused(self):
+        unlisted = WFRelation(carrier="unlisted", decide=nat_less_decide)
+        with pytest.raises(UndecidableError, match="unlisted has no predecessor enumeration"):
+            fuzz_descent(unlisted, 9)
 
 
 class TestCoherence:

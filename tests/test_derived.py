@@ -6,10 +6,13 @@ from hypothesis import given, settings, strategies as st
 from wellfounded import (
     EQUAL,
     App,
+    DescentBudgetError,
     IncomparableError,
     Inl,
     Inr,
+    UndecidableError,
     Var,
+    WFRelation,
     check_recursion_equation,
     disjoint_sum,
     dm_oracle,
@@ -325,6 +328,15 @@ class TestMultisets:
     def test_oracle_examples(self):
         assert dm_oracle(multiset_of(NAT, [1, 1]), multiset_of(NAT, [2]), NAT)
         assert not dm_oracle(multiset_of(NAT, [2]), multiset_of(NAT, [2]), NAT)
+
+    def test_oracle_refusals(self):
+        lower, upper = multiset_of(NAT, [1, 1]), multiset_of(NAT, [2])
+        unlisted = WFRelation(carrier="unlisted", decide=nat_less_decide)
+        with pytest.raises(UndecidableError, match="needs predecessors"):
+            dm_oracle(lower, upper, unlisted)
+        # the first state after {2} is {}: a second state past a budget of one
+        with pytest.raises(DescentBudgetError, match="exceeded its budget"):
+            dm_oracle(lower, upper, NAT, budget=1)
 
     def test_oracle_agreement_exhaustive(self):
         order = multiset_relation(NAT)

@@ -13,13 +13,15 @@ from wellfounded import core
 from wellfounded import (
     DescendingList,
     EvidenceError,
-    RecursionBudgetError,
+    UndecidableError,
+    WFRelation,
     check_recursion_equation,
     descending,
     fuzz_descent,
     is_descending,
     list_lex_decide,
     nat_less,
+    nat_less_decide,
     pow_nat_rank,
     pow_relation,
     validated_evidence,
@@ -58,8 +60,10 @@ class TestIsDescending:
     def test_certificate_length_mismatch_rejected(self):
         from wellfounded import DescentCert
 
-        with pytest.raises(EvidenceError):
+        with pytest.raises(EvidenceError, match="certificate length does not match"):
             DescendingList(elements=(2, 1), cert=DescentCert(steps=()))
+        with pytest.raises(EvidenceError, match="certificate length does not match"):
+            DescendingList(elements=(), cert=DescentCert(steps=(None,)))
 
     @given(descending_sets)
     def test_accepts_every_strictly_descending_list(self, elements):
@@ -284,36 +288,21 @@ class TestPowRelation:
         top = descending(NAT, (3, 2, 1, 0))
         assert wfrec(power, cardinality, top) == 2 ** 15
 
-    def test_budget_counts_every_step(self, monkeypatch):
-        # each call drops one binary rank: rank r is r levels deep
-        monkeypatch.setenv("WFREC_DEPTH", "50")
-        power = pow_relation(NAT)
-
-        def of_rank(rank):
-            return descending(NAT, [e for e in range(12, -1, -1) if rank >> e & 1])
-
-        def drop(z, rec):
-            rank = pow_nat_rank(z)
-            if rank == 0:
-                return 0
-            lower = of_rank(rank - 1)
-            return 1 + rec(lower, power.decide(lower, z))
-
-        with pytest.raises(RecursionBudgetError):
-            wfrec(power, drop, of_rank(64))
-        assert wfrec(power, drop, of_rank(40)) == 40
-
+    # the tests of the recursor's frames, memory and evaluations run on the
+    # flat release path and on the derived recursor that a validated run runs
     def test_long_list_takes_no_frame_per_element(self, monkeypatch):
         # the recursor folds the list from the rear instead of recursing on it
         monkeypatch.setenv("WFREC_DEPTH", "50")
+        top = descending(NAT, range(1999, -1, -1))
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            top = descending(NAT, range(1999, -1, -1))
-            length = wfrec(pow_relation(NAT), lambda z, _rec: len(z.elements), top)
+            for checking in (nullcontext(), validated_evidence()):
+                with checking:
+                    length = wfrec(pow_relation(NAT), lambda z, _rec: len(z.elements), top)
+                assert length == 2000
         finally:
             sys.setrecursionlimit(limit)
-        assert length == 2000
 
     def test_one_call_into_a_long_extension_takes_no_frame_per_link(self, monkeypatch):
         # from [1500] into 1499..0: the handler reaches the callback at each
@@ -333,7 +322,9 @@ class TestPowRelation:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            assert wfrec(power, step, top) == 1501
+            for checking in (nullcontext(), validated_evidence()):
+                with checking:
+                    assert wfrec(power, step, top) == 1501
         finally:
             sys.setrecursionlimit(limit)
 
@@ -354,7 +345,9 @@ class TestPowRelation:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            assert wfrec(power, step, top) == 3000
+            for checking in (nullcontext(), validated_evidence()):
+                with checking:
+                    assert wfrec(power, step, top) == 3000
         finally:
             sys.setrecursionlimit(limit)
 
@@ -375,7 +368,9 @@ class TestPowRelation:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)
         try:
-            assert wfrec(power, step, top) == 1001
+            for checking in (nullcontext(), validated_evidence()):
+                with checking:
+                    assert wfrec(power, step, top) == 1001
         finally:
             sys.setrecursionlimit(limit)
 
@@ -383,9 +378,10 @@ class TestPowRelation:
     def test_any_list_evidence_gives_a_value_or_an_evidence_error(
         self, upper, lower, call
     ):
-        # only the first step recurses: evidence of the right shape is
-        # trusted, so a step that recursed on every call would loop when it
-        # places top below itself
+        # only the first step recurses: a release run trusts the evidence,
+        # so a step that recursed on every call would loop when it places
+        # top below itself.  A validated run refuses a call that does not
+        # descend, and the recursor refuses evidence that does not route it.
         try:
             evidence = build(call)
         except EvidenceError:
@@ -400,11 +396,16 @@ class TestPowRelation:
                 return rec(below, evidence)
             return len(z.elements)
 
+        assert wfrec(power, step, top) == len(lower)
+        stepped.clear()
         try:
-            assert wfrec(power, step, top) == len(lower)
+            with validated_evidence():
+                assert wfrec(power, step, top) == len(lower)
         except EvidenceError as error:
-            if not upper:
-                assert str(error) == "nothing lies below the empty list"
+            if power.decide(below, top) is None:
+                assert str(error).startswith(f"no descent from {top!r} to {below!r}")
+            else:
+                assert str(error) == "pow(nat): malformed list evidence"
 
     def test_long_list_holds_no_prefix_copies(self):
         # a step that never recurses keeps one handler per element alive,
@@ -420,32 +421,38 @@ class TestPowRelation:
             finally:
                 tracemalloc.stop()
 
-        assert peak(4000) < 6 * peak(1000)
+        for checking in (nullcontext(), validated_evidence()):
+            with checking:
+                assert peak(4000) < 6 * peak(1000)
 
     def test_long_list_leaves_no_cyclic_garbage_per_element(self):
         # one closure evaluation serves every element, so what the collector
         # frees afterwards does not grow with the list
         top = descending(NAT, range(1999, -1, -1))
-        gc.collect()
-        gc.disable()
-        try:
-            wfrec(pow_relation(NAT), lambda z, _rec: len(z.elements), top)
-            assert gc.collect() < 200
-        finally:
-            gc.enable()
+        for checking in (nullcontext(), validated_evidence()):
+            gc.collect()
+            gc.disable()
+            try:
+                with checking:
+                    wfrec(pow_relation(NAT), lambda z, _rec: len(z.elements), top)
+                assert gc.collect() < 200
+            finally:
+                gc.enable()
 
     def test_long_list_keeps_few_objects_alive_per_element(self):
         top = descending(NAT, range(999, -1, -1))
-        gc.collect()
-        gc.disable()
-        try:
-            before = len(gc.get_objects())
-            alive = wfrec(
-                pow_relation(NAT), lambda _z, _rec: len(gc.get_objects()) - before, top
-            )
-        finally:
-            gc.enable()
-        assert alive < 20 * 1000
+        for checking in (nullcontext(), validated_evidence()):
+            gc.collect()
+            gc.disable()
+            try:
+                before = len(gc.get_objects())
+                with checking:
+                    alive = wfrec(
+                        pow_relation(NAT), lambda _z, _rec: len(gc.get_objects()) - before, top
+                    )
+            finally:
+                gc.enable()
+            assert alive < 20 * 1000
 
     def test_evaluations_opened_do_not_grow_with_the_list(self):
         power = pow_relation(NAT)
@@ -456,7 +463,9 @@ class TestPowRelation:
             wfrec(power, lambda z, _rec: len(z.elements), top)
             return next(core._opened) - first
 
-        assert opened(1) == opened(10) == opened(100)
+        for checking in (nullcontext(), validated_evidence()):
+            with checking:
+                assert opened(1) == opened(10) == opened(100)
 
     def test_predecessors_cover_exactly_the_lists_below(self):
         power = pow_relation(NAT)
@@ -469,6 +478,13 @@ class TestPowRelation:
                 if power.decide(dl, upper) is not None
             }
             assert enumerated == expected
+
+    def test_no_enumeration_without_one_for_the_elements(self):
+        unlisted = WFRelation(carrier="unlisted", decide=nat_less_decide)
+        power = pow_relation(unlisted)
+        assert power.predecessors is None
+        with pytest.raises(UndecidableError, match="has no predecessor enumeration"):
+            fuzz_descent(power, descending(unlisted, (2, 0)))
 
     def test_fuzz_descent_within_rank_bound(self):
         power = pow_relation(NAT)
