@@ -15,6 +15,7 @@ carry explicit descent chains.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -89,27 +90,78 @@ def inverse_image(
 # ---------------------------------------------------------------------------
 # Transitive closure.
 
-@dataclass(frozen=True)
 class ChainEvidence:
-    """A descent chain ``x' = n0 < n1 < ... < nk = x`` with per-link evidence."""
+    """A descent chain ``x' = n0 < n1 < ... < nk = x`` with per-link evidence.
 
-    nodes: tuple
-    links: tuple
+    A chain that a search returns is a view of the search's records: its
+    lower end's ``(node, link to its parent, parent, depth)`` record, whose
+    parents lead up to ``x``.  ``lower`` and ``len`` read in O(1), and
+    ``nodes`` and ``links`` are built on their first read.  Equality,
+    hashing, ``repr`` and pickling go by ``nodes`` and ``links``.
+    """
 
-    def __post_init__(self):
-        if len(self.nodes) != len(self.links) + 1 or not self.links:
+    __slots__ = ("_reached", "_nodes", "_links")
+    __match_args__ = ("nodes", "links")
+
+    def __init__(self, nodes, links):
+        if len(nodes) != len(links) + 1 or not links:
             raise EvidenceError("a chain needs k+1 nodes for its k >= 1 links")
+        self._reached, self._nodes, self._links = None, nodes, links
+
+    @classmethod
+    def _view(cls, reached):
+        chain = object.__new__(cls)
+        chain._reached, chain._nodes, chain._links = reached, None, None
+        return chain
+
+    def _read(self):
+        # the nodes and links up from the lower end's record
+        nodes, links = [], []
+        reached = self._reached
+        while reached is not None:
+            node, link, reached, _depth = reached
+            nodes.append(node)
+            if reached is not None:
+                links.append(link)
+        self._nodes, self._links = tuple(nodes), tuple(links)
+
+    @property
+    def nodes(self):
+        if self._nodes is None:
+            self._read()
+        return self._nodes
+
+    @property
+    def links(self):
+        if self._links is None:
+            self._read()
+        return self._links
 
     @property
     def lower(self):
-        return self.nodes[0]
+        return self._nodes[0] if self._reached is None else self._reached[0]
 
     @property
     def upper(self):
         return self.nodes[-1]
 
     def __len__(self) -> int:
-        return len(self.links)
+        return len(self._links) if self._reached is None else self._reached[3]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.nodes, self.links) == (other.nodes, other.links)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.links))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(nodes={self.nodes!r}, links={self.links!r})"
+
+    def __reduce__(self):
+        # the eager form: a view's records nest one tuple per link
+        return self.__class__, (self.nodes, self.links)
 
 
 def single_step(lower, upper, evidence) -> ChainEvidence:
@@ -139,47 +191,104 @@ def first_visit(seen: set, unhashable: list, element) -> bool:
     return True
 
 
-def _read_chain(reached) -> ChainEvidence:
-    # the chain up from a (node, link to its parent, parent) record
-    nodes, links = [], []
-    while reached is not None:
-        node, link, reached = reached
-        nodes.append(node)
-        if reached is not None:
-            links.append(link)
-    return ChainEvidence(nodes=tuple(nodes), links=tuple(links))
+_NOTHING = object()  # a lower end no walk finds
+
+
+class _Walk:
+    # A backward breadth-first walk that stops where an element turns up and
+    # resumes from there.  One (element, link to its parent, parent, depth)
+    # record per element, the roots first at depth 0, then each element
+    # below them once, in predecessor order; ``records`` is read as a queue
+    # while the scan appends to it, and ``scanned`` records have had their
+    # predecessors recorded.  ``first`` maps a hashable element to its
+    # record; unhashable ones go in ``unhashable``, searched by equality.
+    __slots__ = ("predecessors", "records", "scanned", "first", "unhashable", "roots")
+
+    def __init__(self, base: WFRelation, roots, seen: bool = True):
+        # ``seen`` roots are the first scan's elements, each distinct one
+        # recorded once and never again below another; the others are
+        # recorded as given and again where they turn up below a root: a
+        # search for a cycle back to its upper
+        self.predecessors = base.predecessors
+        self.scanned, self.first, self.unhashable = 0, {}, []
+        if seen:
+            self.records, self.roots = [], [(root, None) for root in roots]
+        else:
+            self.records, self.roots = [(root, None, None, 0) for root in roots], ()
+
+    def advance(self, lower=_NOTHING):
+        # scan on until a record's predecessors hold ``lower``: the record of
+        # the first one equal to it, or None once every record is scanned.
+        # A walk whose base raises is left half scanned; no caller keeps it.
+        records, first, predecessors = self.records, self.first, self.predecessors
+        parent, below, depth = None, self.roots, 0
+        self.roots = ()
+        while True:
+            found = None
+            for element, link in below:
+                try:
+                    if element in first:
+                        continue
+                    first[element] = reached = (element, link, parent, depth)
+                except TypeError:
+                    if element in self.unhashable:
+                        continue
+                    self.unhashable.append(element)
+                    reached = (element, link, parent, depth)
+                records.append(reached)
+                if found is None and element == lower:
+                    found = reached
+            if found is not None or self.scanned == len(records):
+                return found
+            parent = records[self.scanned]
+            self.scanned += 1
+            below, depth = predecessors(parent[0]), parent[3] + 1
 
 
 def _walk_below(base: WFRelation, roots) -> list:
-    # backward breadth-first walk: one (element, link to its parent, parent)
-    # record per element, the distinct roots first with no parent, then each
-    # element below them once, in predecessor order.  The list is read as a
-    # queue while the loop appends to it.
-    seen, unhashable = set(), []
-    reached = [(root, None, None) for root in roots if first_visit(seen, unhashable, root)]
-    for record in reached:
-        for element, link in base.predecessors(record[0]):
-            if first_visit(seen, unhashable, element):
-                reached.append((element, link, record))
-    return reached
+    # every record of the walk below the distinct roots
+    walk = _Walk(base, roots)
+    walk.advance()
+    return walk.records
 
 
-def _search_chain(base: WFRelation, lower, upper) -> Optional[ChainEvidence]:
-    # ``_walk_below`` from ``upper`` that stops once ``lower`` turns up:
-    # shortest chain, predecessor order ties.  The loop stays inline: built
-    # on a generator over the walk's records, the census-closure operations
-    # of one ``recurse`` benchmark round took 4.6-5.4 ms instead of 2.8-3.8
-    # (unscaled, Python 3.11 on 2 cores).
-    seen, unhashable = set(), []
-    first_visit(seen, unhashable, upper)
-    frontier = [(upper, None, None)]
-    for reached in frontier:
-        for element, evidence in base.predecessors(reached[0]):
-            if element == lower:
-                return _read_chain((element, evidence, reached))
-            if first_visit(seen, unhashable, element):
-                frontier.append((element, evidence, reached))
-    return None
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+class _Searches(threading.local):
+    # a closure's last search in this thread: the walk below the last upper
+    def __init__(self, base: WFRelation):
+        self.base, self.walk = base, None
+
+
+def _search_chain(searches: _Searches, lower, upper) -> Optional[ChainEvidence]:
+    # The chain up from ``lower``'s first record in the walk below
+    # ``upper``: shortest, predecessor order ties.  The walk that this
+    # thread's last search left below the same ``upper`` object answers,
+    # scanning on until ``lower`` turns up, so its records and visit order
+    # are a fresh walk's.  Another upper, or an unhashable ``lower``, starts
+    # a walk; one is kept while its upper and elements are hashable.
+    walk = searches.walk
+    if walk is None or walk.records[0][0] is not upper:
+        walk = _Walk(searches.base, (upper,), seen=False)
+    else:
+        try:
+            reached = walk.first.get(lower)
+        except TypeError:
+            walk = _Walk(searches.base, (upper,), seen=False)
+        else:
+            if reached is not None:
+                return ChainEvidence._view(reached)
+    searches.walk = None  # a search made by the base's predecessors walks on its own
+    reached = walk.advance(lower)
+    if not walk.unhashable and _hashable(upper):
+        searches.walk = walk
+    return None if reached is None else ChainEvidence._view(reached)
 
 
 def _walk_chain(ih, x_next, chain: ChainEvidence):
@@ -194,17 +303,22 @@ def transitive_closure(base: WFRelation) -> WFRelation:
     """The strict transitive closure of ``base``; evidence is a chain.
 
     Deciding a pair searches backward through ``base.predecessors`` when
-    available; without an enumeration only single base steps can be found,
+    available, breadth-first, so a chain is a shortest one.  Each thread
+    keeps the walk below the last upper it decided at, until it decides at
+    another, and answers the next lower at the same upper from it, scanning
+    on as needed; ``base.predecessors`` must therefore be deterministic.
+    Without an enumeration only single base steps can be found,
     and a failed single step raises because longer chains cannot be ruled
     out.  Recursion is carried back along one evaluation of ``base`` and
     walks a chain's links top-down in one loop, one base callback per link,
     so termination is inherited.
     """
     name = f"closure({base.carrier})"
+    searches = _Searches(base)
 
     def decide(lower, upper):
         if base.predecessors is not None:
-            return _search_chain(base, lower, upper)
+            return _search_chain(searches, lower, upper)
         direct = base.decide(lower, upper)
         if direct is None:
             raise UndecidableError(
@@ -214,7 +328,8 @@ def transitive_closure(base: WFRelation) -> WFRelation:
 
     def predecessors(upper):
         return tuple(
-            (record[0], _read_chain(record)) for record in _walk_below(base, (upper,))[1:]
+            (record[0], ChainEvidence._view(record))
+            for record in _walk_below(base, (upper,))[1:]
         )
 
     @_derived
@@ -242,16 +357,16 @@ def finite_power_decide(base: WFRelation, n: int, lower, upper) -> Optional[Chai
     if n == 0:
         return EQUAL if lower == upper else None
     # depth-first: per path step, a predecessor iterator and its node's record
-    pending = [(iter(base.predecessors(upper)), (upper, None, None))]
+    pending = [(iter(base.predecessors(upper)), (upper, None, None, 0))]
     while pending:
         below, path = pending[-1]
         for element, evidence in below:
-            reached = (element, evidence, path)
+            reached = (element, evidence, path, len(pending))
             if len(pending) < n:
                 pending.append((iter(base.predecessors(element)), reached))
                 break
             if element == lower:
-                return _read_chain(reached)
+                return ChainEvidence._view(reached)
         else:
             pending.pop()
     return None
@@ -263,7 +378,7 @@ def refl_trans_reachable(base: WFRelation, lower, upper) -> bool:
         return True
     if base.predecessors is None:
         raise UndecidableError("reachability needs a predecessor enumeration")
-    return _search_chain(base, lower, upper) is not None
+    return _Walk(base, (upper,), seen=False).advance(lower) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
+import threading
 import weakref
 from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wellfounded import (
     EQUAL,
@@ -194,8 +197,8 @@ class TestTransitiveClosure:
     def test_battery_catches_a_search_that_stops_at_one_link(self, monkeypatch):
         search = combinators._search_chain
 
-        def one_link(base, lower, upper):
-            chain = search(base, lower, upper)
+        def one_link(searches, lower, upper):
+            chain = search(searches, lower, upper)
             return chain if chain is not None and len(chain) == 1 else None
 
         monkeypatch.setattr(combinators, "_search_chain", one_link)
@@ -373,6 +376,16 @@ def as_lists(rel):
     )
 
 
+def as_sets(rel):
+    # the same relation over one-element sets, which are unhashable, asked
+    # about at frozensets, which are hashable and equal to them
+    return WFRelation(
+        carrier=f"sets({rel.carrier})",
+        decide=lambda low, up: rel.decide(min(low), min(up)),
+        predecessors=lambda up: tuple(({low}, e) for low, e in rel.predecessors(min(up))),
+    )
+
+
 @given(st.integers(0, 2**32), st.integers(1, 9), st.floats(0.2, 0.9))
 def test_closure_predecessors_match_the_walk_before_the_shared_one(seed, size, density):
     # evidence names its edge, and predecessors come in a shuffled order
@@ -389,6 +402,193 @@ def test_closure_predecessors_match_the_walk_before_the_shared_one(seed, size, d
             assert closure.predecessors(wrap(upper)) == (
                 closure_predecessors_before(base, wrap(upper))
             )
+
+
+def search_chain_before(base, lower, upper):
+    # the closure's search as written before it kept its walk: a fresh
+    # breadth-first search below upper that stops where lower turns up;
+    # the chain as (nodes, links), or None
+    seen, unhashable = set(), []
+    combinators.first_visit(seen, unhashable, upper)
+    frontier = [((upper,), ())]
+    for nodes, links in frontier:
+        for element, evidence in base.predecessors(nodes[0]):
+            if element == lower:
+                return (element,) + nodes, (evidence,) + links
+            if combinators.first_visit(seen, unhashable, element):
+                frontier.append(((element,) + nodes, (evidence,) + links))
+    return None
+
+
+def read_chain(chain):
+    # a chain as (nodes, links); its lower end and length read first, as
+    # a view answers them before it builds its nodes
+    if chain is None:
+        return None
+    lower, length = chain.lower, len(chain)
+    assert lower is chain.nodes[0] and length == len(chain.links)
+    return chain.nodes, chain.links
+
+
+def shuffled_graph(rng, size, density, cyclic):
+    # evidence names its edge, and predecessors come in a shuffled order; a
+    # cyclic graph has edges both ways and self-loops
+    if cyclic:
+        edges = {
+            (low, high)
+            for low in range(size)
+            for high in range(size)
+            if rng.random() < density / 2
+        }
+    else:
+        _rel, edges = random_dag(rng, size, density)
+    named = WFRelation(
+        carrier=f"graph{size}",
+        decide=lambda low, up: (low, up) if (low, up) in edges else None,
+    )
+    return with_enumerated_predecessors(named, rng.sample(range(size), size))
+
+
+def in_two_threads(rel, halves):
+    # one closure asked from two threads, each its half of the queries, that
+    # take turns at every base predecessors call and after every query, so
+    # each thread's walk stops half scanned while the other thread searches
+    # and between its own calls; the (lower, upper, chain) of every call.
+    # Each thread makes the base calls it makes alone on a closure of its own.
+    turn, finished, changed, me = [0], [False, False], threading.Condition(), threading.local()
+    calls = [0, 0]
+
+    def counted():
+        calls[me.index] += 1
+
+    def hand_over():
+        with changed:
+            turn[0] = 1 - me.index
+            changed.notify_all()
+            changed.wait_for(lambda: turn[0] == me.index or finished[1 - me.index])
+
+    closure = transitive_closure(
+        replace(rel, predecessors=lambda up: counted() or hand_over() or rel.predecessors(up))
+    )
+    asked = ([], [])
+
+    def run(index):
+        me.index = index
+        with changed:
+            changed.wait_for(lambda: turn[0] == index or finished[1 - index])
+        try:
+            for low, up in halves[index]:
+                asked[index].append((low, up, read_chain(closure.decide(low, up))))
+                hand_over()
+        finally:
+            with changed:
+                finished[index] = True
+                turn[0] = 1 - index
+                changed.notify_all()
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert [len(done) for done in asked] == [len(half) for half in halves]
+    for index, half in enumerate(halves):
+        alone = []
+        own = transitive_closure(
+            replace(rel, predecessors=lambda up: alone.append(up) or rel.predecessors(up))
+        )
+        for low, up in half:
+            own.decide(low, up)
+        assert calls[index] == len(alone)
+    return asked[0] + asked[1]
+
+
+@pytest.mark.parametrize("shape", ["dag", "lists", "sets", "cyclic", "reentrant", "threads"])
+@settings(derandomize=True, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 9),
+    st.floats(0.2, 0.9),
+    st.lists(st.tuples(st.integers(0, 8), st.lists(st.integers(0, 8), max_size=8)), max_size=8),
+)
+def test_resumed_decide_matches_a_fresh_search(shape, seed, size, density, groups):
+    # runs of lowers at one upper, the uppers interleaved
+    rng = random.Random(seed)
+    rel = shuffled_graph(rng, size, density, cyclic=shape == "cyclic")
+    runs = [[(low % size, up % size) for low in lows] for up, lows in groups]
+    queries = [query for run in runs for query in run]
+    base, wrap, asked, asking = rel, lambda x: x, [], []
+    if shape == "lists":
+        base, wrap = as_lists(rel), [[x] for x in range(size)].__getitem__
+    if shape == "sets":
+        base, wrap = as_sets(rel), [frozenset({x}) for x in range(size)].__getitem__
+    if shape == "reentrant":
+        inside = []
+
+        def predecessors(up):
+            # a call on the closure, at the upper being searched or another;
+            # one level deep: the inner search's own calls do not re-enter
+            if not inside:
+                inside.append(up)
+                low, high = rng.randrange(size), rng.choice((asking[-1], rng.randrange(size)))
+                asked.append((low, high, read_chain(closure.decide(low, high))))
+                inside.pop()
+            return rel.predecessors(up)
+
+        base = replace(rel, predecessors=predecessors)
+    if shape == "threads":
+        asked = in_two_threads(rel, [sum(runs[half::2], []) for half in (0, 1)])
+    else:
+        closure = transitive_closure(base)
+        for low, up in queries:
+            asking.append(up)
+            asked.append((low, up, read_chain(closure.decide(wrap(low), wrap(up)))))
+    for low, up, got in asked:
+        oracle = base if shape in ("lists", "sets") else rel
+        assert got == search_chain_before(oracle, wrap(low), wrap(up)), (low, up)
+
+
+class TestChainViews:
+    def test_long_views_pickle_copy_and_compare_as_eager_chains(self):
+        closure = transitive_closure(successor_relation())
+        eager = ChainEvidence(tuple(range(3001)), (EQUAL,) * 3000)
+        # each view is fresh: its nodes are built by pickling or copying
+        for copied in (
+            pickle.loads(pickle.dumps(closure.decide(0, 3000))),
+            copy.deepcopy(closure.decide(0, 3000)),
+            copy.copy(closure.decide(0, 3000)),
+        ):
+            assert copied == eager and copied.nodes == eager.nodes
+        chain = closure.decide(0, 3000)
+        assert len(chain) == 3000 and chain.lower == 0
+        assert chain == eager and eager == chain and hash(chain) == hash(eager)
+        assert repr(chain) == repr(eager) and chain.upper == 3000
+        assert chain != closure.decide(1, 3000) and chain != eager.nodes
+
+    @pytest.mark.parametrize("nodes, links", [((0, 1, 2), (EQUAL,)), ((0,), ()), ((0, 1), ())])
+    def test_wrong_shaped_chains_are_refused(self, nodes, links):
+        with pytest.raises(EvidenceError):
+            ChainEvidence(nodes, links)
+
+    @pytest.mark.parametrize("validated", [False, True])
+    def test_a_census_walks_below_each_upper_about_once(self, validated):
+        # a closure census from 60 over a counted successor relation; a
+        # fresh search per pair made 73,810 base predecessor calls released
+        # and 109,800 validated
+        base, calls = successor_relation(), []
+        counted = replace(base, predecessors=lambda up: calls.append(up) or base.predecessors(up))
+        closure = transitive_closure(counted)
+        with validated_evidence() if validated else nullcontext():
+            assert wfrec(closure, census_step(closure, range(60)), 59) == 2**59
+        assert len(calls) <= 60**2
+
+    def test_long_enumerations_hold_views(self):
+        # the chains share the walk's records, so the enumeration takes
+        # linear time, not time quadratic in the depth
+        base = successor_relation()
+        found = transitive_closure(base).predecessors(3000)
+        assert found == closure_predecessors_before(base, 3000)
 
 
 class TestFinitePowers:
