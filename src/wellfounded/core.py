@@ -25,10 +25,12 @@ All recursion runs through one evaluator, whose one runner runs every step.
 It memoizes step values per top-level call, so every relation runs the step
 at most once per element, and frees the memo on return; steps must be
 deterministic, as the recursion equation already requires.  Its depth
-budget (env ``WFREC_DEPTH``, read once per top-level call) counts every
-step and is shared by the evaluations nested in it: a step runs one level
-below the running step, unless that one is the glue of an evaluation
-opened later.
+budget (env ``WFREC_DEPTH``) is read by the public ``wfrec`` once per
+top-level call, which also raises the interpreter's recursion limit for
+that call; the runner only reads the budget.  It counts every step and is
+shared by the evaluations nested in the call: a step runs one level below
+the running step, unless that one is the glue of an evaluation opened
+later.
 
 A derived recursor opens evaluations only through three entries here.
 ``_open`` opens a base on the callback step, so the base's value at an
@@ -154,7 +156,28 @@ class WFRelation:
             step = _validating_step(self, step)
         elif getattr(recursor, "_derived", False):
             recursor = None  # a release run trusts the evidence the derivation reads
-        return _evaluate(step, a, recursor)
+        running = _threads.__dict__.setdefault("running", [-1, 0, 0])
+        if running[2]:  # nested in a running evaluation: share its budget
+            return _evaluate(step, a, recursor)
+        # The top-level call reads the budget and raises the interpreter's
+        # recursion limit, a few frames per level.  The limit is process-wide:
+        # it stays raised while a top-level call runs in any thread, and the
+        # last one to end puts back the limit that the first one found.
+        budget = recursion_budget()
+        with _frame_lock:
+            _frame_limits.append(sys.getrecursionlimit())
+            sys.setrecursionlimit(
+                max(_frame_limits[-1], min(8 * budget + 500, _STACK_FRAME_CEILING))
+            )
+        running[2] = budget
+        try:
+            return _evaluate(step, a, recursor)
+        finally:
+            running[2] = 0
+            with _frame_lock:
+                found = _frame_limits.pop()
+                if not _frame_limits:
+                    sys.setrecursionlimit(found)
 
     def __repr__(self) -> str:
         return f"WFRelation({self.carrier})"
@@ -168,6 +191,8 @@ def _derived(recursor):
 
 
 _threads = threading.local()  # per thread: the running step and the budget
+_frame_lock = threading.Lock()
+_frame_limits: list = []  # the limit each running top-level call found
 _opened = itertools.count(1)  # numbers evaluations in the order they open
 _MISS = object()  # what a memo lookup yields for an element it has not seen
 
@@ -182,19 +207,15 @@ def _evaluate(step: StepFunction, a: Any, recursor=None, finish=None) -> Any:
     # owner are put back: at the caller's level, inside every open evaluation.
     #
     # The per-thread ``running`` list holds the depth and the evaluation of
-    # the innermost running step, and the budget, which only the top-level
-    # evaluation reads (0 while none runs).  A step runs one below the
+    # the innermost running step, and the budget, which the public ``wfrec``
+    # sets for a top-level call (0 while none runs).  A step runs one below the
     # running step, unless that belongs to an evaluation opened after this
     # one: it is then a composed relation's glue (a lex column, a sum side,
     # a subrelation) handing this evaluation's step the element it stands
     # at, and the step runs at the same level.  Such hand-overs only reach
     # older evaluations, so no chain of them is endless.
-    running = _threads.__dict__.setdefault("running", [-1, 0, 0])
+    running = _threads.running
     budget = running[2]
-    top = not budget
-    if top:
-        budget = recursion_budget()
-        running[2] = budget
     memo: dict = {}
     mine = next(_opened)
 
@@ -227,8 +248,6 @@ def _evaluate(step: StepFunction, a: Any, recursor=None, finish=None) -> Any:
             pass
         return value
 
-    if top:
-        _raise_frame_limit(min(8 * budget + 500, _STACK_FRAME_CEILING))  # a few per level
     try:
         if recursor is None:
             def rec(x, _evidence):
@@ -250,9 +269,6 @@ def _evaluate(step: StepFunction, a: Any, recursor=None, finish=None) -> Any:
         ) from None
     finally:
         memo.clear()
-        if top:
-            running[2] = 0
-            _restore_frame_limit()
 
 
 # The three entries through which a derived recursor opens evaluations.
@@ -283,26 +299,6 @@ def _transport(step, a, base: WFRelation, root, reach: Callable, start=None) -> 
         return rec
 
     return _open(base, root, lambda ih: step(a, handler(ih if start is None else start(ih))))
-
-
-# The interpreter's recursion limit is process-wide: it stays raised while a
-# top-level evaluation runs in any thread, and the last one to end puts back
-# the limit that the first one found.
-_frame_lock = threading.Lock()
-_frame_limits: list = []  # the limit each running top-level evaluation found
-
-
-def _raise_frame_limit(frames: int) -> None:
-    with _frame_lock:
-        _frame_limits.append(sys.getrecursionlimit())
-        sys.setrecursionlimit(max(_frame_limits[-1], frames))
-
-
-def _restore_frame_limit() -> None:
-    with _frame_lock:
-        found = _frame_limits.pop()
-        if not _frame_limits:
-            sys.setrecursionlimit(found)
 
 
 def _validating_step(rel: WFRelation, step: StepFunction) -> StepFunction:

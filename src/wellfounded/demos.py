@@ -52,9 +52,11 @@ def filter_below_cons(keep, head, items) -> NatLessEvidence:
     """Evidence that filtering ``items`` stays shorter than ``head`` consed on.
 
     Filtering never lengthens a list, so the filtered length is always
-    strictly below ``length(items) + 1``.
+    strictly below ``length(items) + 1``.  ``items`` is read once, so an
+    iterator gives the evidence its items give as a tuple.
     """
-    return nat_less_decide(length(filter_list(keep, items)), length(items) + 1)
+    items = tuple(items)
+    return nat_less_decide(len(filter_list(keep, items)), len(items) + 1)
 
 
 def quicksort(le: Callable[[Any, Any], bool], items) -> tuple:

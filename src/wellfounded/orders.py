@@ -68,7 +68,7 @@ def parse_nat_list(text: str) -> tuple:
 
 def all_multisets(carrier, max_size: int) -> list:
     """Every multiset over ``carrier`` with at most ``max_size`` elements."""
-    nat = nat_less()
+    nat, carrier = nat_less(), tuple(carrier)
     out = []
     for size in range(max_size + 1):
         for combo in itertools.combinations_with_replacement(carrier, size):
@@ -80,12 +80,11 @@ _MULTISET_SIZE_CAP = 5
 _MULTISET_KEY_CAP = 30  # a bounded universe of 376,992 multisets, about 150 MB
 
 
-def _bounded_multiset_predecessors(upper: Multiset):
+def _bounded_multiset_predecessors(mrel: WFRelation, upper: Multiset):
     # enumeration capped at total size 5 over the keys reachable below the
     # current maximum; complete only within that bound
     max_key = max((key for key, _count in upper.entries), default=0)
     pool = all_multisets(range(max_key + 1), _MULTISET_SIZE_CAP)
-    mrel = multiset_relation(nat_less())
     return with_enumerated_predecessors(mrel, pool).predecessors(upper)
 
 
@@ -135,10 +134,11 @@ def named_descent_order(name: str) -> NamedOrder:
             sample_starts=tuple(descending(nat, s) for s in ((3, 1, 0), (4, 2), (2, 1, 0))),
         )
     if name == "multiset-nat":
+        mrel = multiset_relation(nat)
         bounded = replace(
-            multiset_relation(nat),
+            mrel,
             carrier="multiset(nat), bounded walk",
-            predecessors=_bounded_multiset_predecessors,
+            predecessors=lambda upper: _bounded_multiset_predecessors(mrel, upper),
         )
 
         def parse_multiset(text):

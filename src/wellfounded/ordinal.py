@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .combinators import Inl, Inr
-from .derived import Multiset, NestedMultiset
+from .derived import Multiset, NestedMultiset, lift_payload
 
 
 class Ordering(enum.Enum):
@@ -252,9 +252,7 @@ def _to_layer(o: OrdinalNotation) -> tuple:  # (depth, payload)
         inner, payload = _to_layer(exponent)
         if not entries:  # the first exponent is the largest, so the deepest
             depth = inner + 1
-        while inner < depth - 1:
-            inner, payload = inner + 1, Inl(payload)
-        entries.append((payload, count))
+        entries.append((lift_payload(payload, depth - 1 - inner), count))
     return depth, Inr(Multiset(tuple(entries)))
 
 

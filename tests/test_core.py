@@ -310,6 +310,27 @@ class TestEvaluator:
         with pytest.raises(RecursionBudgetError):
             nat_wfrec(chain, 50000)
 
+    def test_stack_exhaustion_in_a_nested_call_stays_a_budget_error(self, monkeypatch):
+        # the step that made the nested call catches the library's error
+        monkeypatch.setenv("WFREC_DEPTH", "1000000")
+
+        def chain(n, rec):
+            return 0 if n == 0 else 1 + rec(n - 1, nat_less_decide(n - 1, n))
+
+        caught = []
+
+        def outer(_n, _rec):
+            try:
+                return wfrec(nat_less(), chain, 50000)
+            except WellFoundedError as error:
+                caught.append(type(error))
+                return -1
+
+        limit = sys.getrecursionlimit()
+        assert wfrec(nat_less(), outer, 0) == -1
+        assert caught == [RecursionBudgetError]
+        assert sys.getrecursionlimit() == limit
+
     def test_the_interpreter_limit_is_restored(self):
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(1000)

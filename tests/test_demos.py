@@ -67,6 +67,12 @@ class TestFilterEvidence:
         evidence = filter_below_cons(lambda _x: False, 0, ())
         assert evidence is not None  # 0 < 1
 
+    def test_an_iterator_gives_the_evidence_of_its_tuple(self):
+        keep = lambda b: b < 5
+        from_tuple = filter_below_cons(keep, 9, (1, 7, 3))
+        assert repr(from_tuple) == "inr(inl(eq))"  # 2 < 4
+        assert filter_below_cons(keep, 9, iter([1, 7, 3])) == from_tuple
+
     @given(st.lists(st.integers(0, 9)).map(tuple), st.integers(0, 9))
     def test_always_validates(self, items, head):
         order = list_length_order()

@@ -366,6 +366,11 @@ class TestMultisets:
             )
             assert _capped_multiset_count(max_key) == enumerated
 
+    def test_an_iterator_carrier_gives_every_multiset(self):
+        from_range = all_multisets(range(3), 2)
+        assert len(from_range) == 10
+        assert all_multisets(iter(range(3)), 2) == from_range
+
 
 class TestNestedMultisets:
     def test_singleton_depth(self):
